@@ -114,21 +114,26 @@ def load_surface_file(path: str) -> SurfacePair:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out))
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory."""
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".jetdiff-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp_path, out)
+        os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _emit(report: dict, out: str | None) -> None:
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        _write_atomically(out, text)
 
 
 def _surface_json(surf: SurfacePair) -> dict:
@@ -181,8 +186,7 @@ def cmd_solve(config: RunConfig) -> tuple[int, dict]:
         "certificates": [cert.to_json_dict() for cert in certificates],
     })
     if args.matrix_out:
-        with open(args.matrix_out, "w", encoding="utf-8") as handle:
-            handle.write(system.to_triplet_text())
+        _write_atomically(args.matrix_out, system.to_triplet_text())
         body["matrix_out"] = args.matrix_out
     return EXIT_PASS, body
 

@@ -11,6 +11,16 @@ No floating point is used anywhere.  The total degree of the zero
 polynomial is the dedicated sentinel ``NEG_INF``, which compares below
 every integer and is never conflated with 0 or -1.
 
+Fraction appears only at the boundary; the two hot inner loops run on
+Python ints.  Multiplication clears each operand to integer numerators over
+the lcm of its denominators and packs every exponent tuple into one int,
+giving each variable a bit field of width
+``(maxexp_a + maxexp_b).bit_length() + 1`` computed per call from the two
+operands' largest exponents in that variable, so no field can overflow.
+The univariate gcd runs a primitive remainder sequence on integer
+coefficient lists and divides by the leading coefficient once at the end.
+Each output coefficient is converted back to Fraction exactly once.
+
 Term order is graded lexicographic with respect to the variable order fixed
 by the VarSet at creation; printing lists terms in descending graded-lex
 order with the sign folded into the coefficient.
@@ -19,6 +29,7 @@ order with the sign folded into the coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 
@@ -243,21 +254,33 @@ class ExactPoly:
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         self._check_same_vars(other)
-        out: dict[Exponents, Fraction] = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(exps, Fraction(0)) + ca * cb
-                if acc:
-                    out[exps] = acc
-                else:
-                    out.pop(exps, None)
         result = ExactPoly.zero(self.vars)
-        object.__setattr__(result, "terms", out)
+        if not self.terms or not other.terms:
+            return result
+        if len(self.terms) > len(other.terms):
+            a, b = other.terms, self.terms
+        else:
+            a, b = self.terms, other.terms
+        # one bit field per variable, wide enough for the largest exponent
+        # the product can reach in it plus a spare bit, so no field overflows
+        fields = []
+        shift = 0
+        for top_a, top_b in zip(map(max, zip(*a)), map(max, zip(*b))):
+            width = (top_a + top_b).bit_length() + 1
+            fields.append((shift, (1 << width) - 1))
+            shift += width
+        packed_a, den_a = _packed_integer_terms(a, fields)
+        packed_b, den_b = _packed_integer_terms(b, fields)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key_a, num_a in packed_a:
+            for key_b, num_b in packed_b:
+                key = key_a + key_b
+                acc[key] = get(key, 0) + num_a * num_b
+        den = den_a * den_b
+        object.__setattr__(result, "terms", {
+            tuple([(key >> s) & mask for s, mask in fields]): Fraction(num, den)
+            for key, num in acc.items() if num})
         return result
 
     def scale(self, value: Fraction | int) -> "ExactPoly":
@@ -338,6 +361,19 @@ class ExactPoly:
         return f"ExactPoly({self})"
 
 
+def _packed_integer_terms(terms: Mapping[Exponents, Fraction],
+                          fields: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+    """Terms as (packed monomial, integer numerator) pairs over their common denominator."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    packed = []
+    for exps, coeff in terms.items():
+        key = 0
+        for e, (s, _) in zip(exps, fields):
+            key |= e << s
+        packed.append((key, coeff.numerator * (den // coeff.denominator)))
+    return packed, den
+
+
 # -- parsing ---------------------------------------------------------------
 
 _TOKEN_CHARS = set("+-*^/()")
@@ -374,6 +410,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_NESTING = 100  # parenthesis depth; deeper input would exhaust the Python stack
+
+
 class _Parser:
     """Recursive-descent parser for expr := term (('+'|'-') term)*."""
 
@@ -381,6 +420,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = vars
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -449,7 +489,11 @@ class _Parser:
                 return ExactPoly.const(self.vars, Fraction(numerator, denominator))
             return ExactPoly.const(self.vars, numerator)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         raise ParseError(f"unexpected {value!r}", pos)
@@ -777,48 +821,61 @@ def sylvester_resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
 
 # -- univariate gcd and squarefree test --------------------------------------
 
-def _univariate_divmod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of dense Fraction coefficient lists (index = degree)."""
-    r = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    while len(r) - 1 >= db and r:
-        factor = r[-1] / lc
-        shift = len(r) - 1 - db
-        for k in range(db + 1):
-            r[k + shift] -= factor * b[k]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Integer coefficient list divided by its (positive) content."""
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs]
 
 
-def _to_fraction_coeffs(p: ExactPoly, name: str | None) -> list[Fraction]:
+def _primitive_coeffs(p: ExactPoly, name: str | None) -> list[int]:
+    """Primitive integer coefficient list (index = degree) of a univariate p; [] for zero."""
     if p.is_zero():
         return []
     if name is None:
-        return [p.constant_value()]
-    coeffs = univariate_coeffs(p, name)
-    out = []
-    for c in coeffs:
-        if not c.is_constant():
-            raise ValueError("polynomial is not univariate")
-        out.append(c.constant_value())
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+        coeffs = [p.constant_value()]
+    else:
+        coeffs = []
+        for c in univariate_coeffs(p, name):
+            if not c.is_constant():
+                raise ValueError("polynomial is not univariate")
+            coeffs.append(c.constant_value())
+    den = lcm(*[c.denominator for c in coeffs])
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of a by b (integer lists, b nonzero)."""
+    r = list(a)
+    db = len(b) - 1
+    lc_b = b[-1]
+    while r and len(r) - 1 >= db:
+        # r := (lc_b / g) * r - (lc_r / g) * x^shift * b kills the leading term
+        g = gcd(r[-1], lc_b)
+        scale_r, scale_b = lc_b // g, r[-1] // g
+        shift = len(r) - 1 - db
+        r = [c * scale_r for c in r]
+        for k, c in enumerate(b):
+            r[k + shift] -= scale_b * c
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r) if r else r
 
 
 def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    """Monic gcd of two effectively-univariate polynomials (not both zero)."""
+    """Monic gcd of two effectively-univariate polynomials (not both zero).
+
+    Runs the primitive remainder sequence over the integers; the gcd over Q
+    is the last nonzero remainder made monic.
+    """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     p._check_same_vars(q)
     name = _effective_variable(p, q)
-    a = _to_fraction_coeffs(p, name)
-    b = _to_fraction_coeffs(q, name)
+    a = _primitive_coeffs(p, name)
+    b = _primitive_coeffs(q, name)
     while b:
-        a, b = b, _univariate_divmod(a, b)
-    monic = [c / a[-1] for c in a]
+        a, b = b, _primitive_prem(a, b)
+    monic = [Fraction(c, a[-1]) for c in a]
     if name is None:
         return ExactPoly.const(p.vars, monic[-1])
     return from_univariate_coeffs(
@@ -848,14 +905,7 @@ def rational_roots(p: ExactPoly, divisor_limit: int = 10**12) -> tuple[list[Frac
     name = _effective_variable(p)
     if name is None:
         return [], True
-    coeffs = _to_fraction_coeffs(p, name)
-    from math import lcm, gcd as igcd
-    den = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * den) for c in coeffs]
-    content = 0
-    for v in ints:
-        content = igcd(content, v)
-    ints = [v // content for v in ints]
+    ints = _primitive_coeffs(p, name)
     roots: list[Fraction] = []
     low = 0
     while ints[low] == 0:

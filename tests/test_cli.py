@@ -5,8 +5,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from jetdiff.cli import main
+from jetdiff.cli import load_surface_file, main
 from jetdiff.counting import dof
+from jetdiff.divisibility import assemble_divisibility_system
+from jetdiff.jetbuilder import JetSpec
 
 GENERIC_SURFACE = """\
 # a generic-looking cubic pair
@@ -69,6 +71,13 @@ class TestAudit:
         code, body = run_cli(capsys, ["audit", "--surface", str(path)])
         assert code == 3 and "error" in body
 
+    def test_deep_nesting_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("R = " + "(" * 3000 + "x" + ")" * 3000 + " + y\n"
+                        "S = x^2 + y^2 - 1\n")
+        code, body = run_cli(capsys, ["audit", "--surface", str(path)])
+        assert code == 3 and "nested" in body["error"]
+
     def test_determinism(self, capsys, generic_surface_file):
         main(["audit", "--surface", generic_surface_file])
         first = capsys.readouterr().out
@@ -120,6 +129,10 @@ class TestSolve:
         assert code == 0
         header = matrix_path.read_text().splitlines()[0].split()
         assert [int(header[0]), int(header[1])] == [body["rows"], body["columns"]]
+        system = assemble_divisibility_system(load_surface_file(generic_surface_file),
+                                              JetSpec(m=1, c=1, a=0))
+        assert matrix_path.read_text() == system.to_triplet_text()
+        assert not list(tmp_path.glob(".jetdiff-*"))
 
 
 class TestVerify:
@@ -183,6 +196,7 @@ class TestOutputFile:
         assert code == 0
         body = json.loads(out.read_text())
         assert body["command"] == "count"
+        assert not list(tmp_path.glob(".jetdiff-*"))
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("JETDIFF_SEED", "31")

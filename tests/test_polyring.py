@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from jetdiff.jetbuilder import XY
+from jetdiff.jetbuilder import JET_VARS, XY
 from jetdiff.polyring import (
+    MAX_NESTING,
     NEG_INF,
     ExactPoly,
     ParseError,
@@ -26,6 +28,78 @@ from conftest import random_poly
 X = ExactPoly.variable(XY, "x")
 Y = ExactPoly.variable(XY, "y")
 ONE = ExactPoly.const(XY, 1)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def reference_mul(p, q):
+    """Product by the tuple-exponent, Fraction-coefficient double loop."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            acc = out.get(exps, Fraction(0)) + ca * cb
+            if acc:
+                out[exps] = acc
+            else:
+                out.pop(exps, None)
+    return ExactPoly(p.vars, out)
+
+
+def reference_gcd(p, q, name):
+    """Monic gcd by Euclid's algorithm on Fraction coefficient lists."""
+    i = p.vars.index(name)
+
+    def coeffs(poly):
+        dense = [Fraction(0)] * (max((e[i] for e in poly.terms), default=-1) + 1)
+        for exps, coeff in poly.terms.items():
+            dense[exps[i]] = coeff
+        return dense
+
+    a, b = coeffs(p), coeffs(q)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            factor = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for k, c in enumerate(b):
+                r[k + shift] -= factor * c
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    exps = [0] * len(p.vars)
+    out = {}
+    for k, c in enumerate(a):
+        exps[i] = k
+        out[tuple(exps)] = c / a[-1]
+    return ExactPoly(p.vars, out)
+
+
+def rationals(max_den=12):
+    return st.builds(Fraction, st.integers(-30, 30), st.integers(1, max_den))
+
+
+# exponents on both sides of powers of two, where the packed field width changes
+EXPONENTS = st.integers(0, 9) | st.sampled_from([15, 16, 17, 31, 32, 33, 63, 64])
+
+
+def polys(vars, max_terms=8):
+    keys = st.tuples(*[EXPONENTS] * len(vars))
+    return st.dictionaries(keys, rationals(), max_size=max_terms).map(
+        lambda terms: ExactPoly(vars, terms))
+
+
+def univariate(name, max_degree=4):
+    """Nonzero polynomials in one variable of XY with rational coefficients."""
+    i = XY.index(name)
+
+    def build(coeffs):
+        return ExactPoly(XY, {tuple(k if j == i else 0 for j in range(2)): c
+                              for k, c in enumerate(coeffs)})
+
+    nonzero = rationals(7).filter(bool)
+    return st.builds(lambda low, lead: build(low + [lead]),
+                     st.lists(rationals(7), max_size=max_degree), nonzero)
 
 
 class TestParsing:
@@ -59,6 +133,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             poly_parse("1/0", XY)
 
+    def test_nesting_depth_capped(self):
+        at_cap = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert poly_parse(at_cap, XY) == X
+        with pytest.raises(ParseError) as err:
+            poly_parse("(" + at_cap + ")", XY)
+        assert err.value.position == MAX_NESTING
+
     def test_primed_identifiers(self):
         jet = VarSet(("x", "x'"))
         p = poly_parse("3*x'^2 - x", jet)
@@ -84,6 +165,35 @@ class TestRingOps:
             assert (p + q) + r == p + (q + r)
             assert p * (q + r) == p * q + p * r
             assert p * q == q * p
+
+    @PROPERTY
+    @given(polys(XY), polys(XY))
+    @example(ExactPoly.zero(XY), poly_parse("x^3 - y", XY))
+    @example(ExactPoly.const(XY, Fraction(-2, 3)), poly_parse("1/2*x^7 + y", XY))
+    @example(poly_parse("x^7", XY), poly_parse("x", XY))
+    @example(poly_parse("x^8*y^8 + 1/3", XY), poly_parse("x^8*y^8 - 2/5", XY))
+    def test_mul_matches_reference_xy(self, p, q):
+        product = p * q
+        expected = reference_mul(p, q)
+        assert product.terms == expected.terms
+        assert str(product) == str(expected)
+        assert all(type(c) is Fraction for c in product.terms.values())
+
+    @PROPERTY
+    @given(polys(JET_VARS), polys(JET_VARS))
+    def test_mul_matches_reference_jet_vars(self, p, q):
+        product = p * q
+        expected = reference_mul(p, q)
+        assert product.terms == expected.terms
+        assert str(product) == str(expected)
+
+    @PROPERTY
+    @given(polys(JET_VARS, max_terms=5), polys(JET_VARS, max_terms=5))
+    def test_mul_cancelling_cross_terms(self, p, q):
+        # (p + q)(p - q) = p^2 - q^2: every cross term cancels
+        product = (p + q) * (p - q)
+        assert product.terms == reference_mul(p + q, p - q).terms
+        assert product == reference_mul(p, p) - reference_mul(q, q)
 
     def test_varset_mismatch(self):
         other = VarSet(("x", "z"))
@@ -241,6 +351,34 @@ class TestUnivariate:
             for root in sorted(shared.elements()):
                 expected = expected * (X - ExactPoly.const(XY, root))
             assert gcd_univariate(p, q) == expected
+
+    @PROPERTY
+    @given(univariate("x"), univariate("x"), univariate("x"), st.sampled_from([1, 2]))
+    def test_gcd_matches_reference(self, shared, f, g, power):
+        p = shared ** power * f
+        q = shared * g
+        assert gcd_univariate(p, q) == reference_gcd(p, q, "x")
+        assert gcd_univariate(q, p) == reference_gcd(q, p, "x")
+
+    @PROPERTY
+    @given(univariate("y"), univariate("y", max_degree=2), st.sampled_from([1, 2, 3]))
+    def test_squarefree_matches_reference(self, f, g, power):
+        p = f * g ** power
+        expected = reference_gcd(p, poly_diff(p, "y"), "y").is_constant()
+        assert squarefree_univariate(p) == expected
+
+    @pytest.mark.parametrize("p_text,q_text", [
+        ("-3/2*x^3 + x - 5", "-2/7*x^2 + 1/3"),  # negative, fractional leads
+        ("-x^2 + 2*x - 1", "-1/2*x + 1/2"),      # gcd x - 1
+        ("2*x + 1", "x^2 + 1"),                  # constant gcd
+        ("0", "-3/4*x^2 + 3/4"),                 # one zero argument
+        ("-5/3*x^3", "0"),
+        ("-7/2", "4"),                           # two constants
+        ("6", "0"),
+    ])
+    def test_gcd_edge_cases(self, p_text, q_text):
+        p, q = poly_parse(p_text, XY), poly_parse(q_text, XY)
+        assert gcd_univariate(p, q) == reference_gcd(p, q, "x")
 
     def test_rational_roots(self):
         p = (X - ExactPoly.const(XY, Fraction(2, 3))) * (X + ExactPoly.const(XY, 5)) * X
