@@ -12,10 +12,7 @@ from .polyring import (
     VarSet,
     gcd_univariate,
     monomial_quotient,
-    poly_add,
     poly_diff,
-    poly_mul,
-    poly_neg,
     poly_parse,
     poly_pow,
     poly_substitute,

@@ -128,6 +128,14 @@ def _write_atomically(path: str, text: str) -> None:
         raise
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work is done."""
+    if os.path.isdir(path):
+        raise CliInputError(f"output path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise CliInputError(f"directory of output path {path!r} does not exist")
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out is None:
@@ -393,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for path in (args.out, getattr(args, "matrix_out", None)):
+            if path is not None:
+                _check_output_path(path)
         seed = args.seed if args.seed is not None else _default_seed()
         config = RunConfig(subcommand=args.command, seed=seed, out=args.out,
                            verbosity=args.verbose, args=args)

@@ -7,6 +7,11 @@ as new = (pivot * row - row[pivot_col] * pivot_row) / previous_pivot, an
 exact integer division.  Pivoting picks the smallest absolute entry in the
 pivot column (ties broken by row index), which keeps the integer growth of
 sparse systems low and makes the whole reduction deterministic.
+
+`nullspace` first tries a one-sided certificate modulo the prime 2^61 - 1:
+reducing an integer matrix mod p can only lower its rank, so full column
+rank mod p proves that the kernel over Q is {0}.  Any other outcome, a
+nonzero kernel or an unlucky prime, falls back to the exact elimination.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 SparseRow = dict[int, Fraction]
+
+_PRIME = (1 << 61) - 1
 
 
 def _to_primitive_int_row(row: SparseRow) -> dict[int, int]:
@@ -84,6 +91,34 @@ def row_echelon(rows: list[SparseRow], ncols: int) -> Echelon:
     return Echelon(ncols=ncols, pivot_cols=tuple(pivot_cols), pivot_rows=tuple(pivot_rows))
 
 
+def _full_column_rank_mod_p(rows: list[SparseRow], ncols: int) -> bool:
+    """True when the primitive integer rows have rank ncols modulo _PRIME.
+
+    Rows are inserted one at a time into a basis of monic rows keyed by
+    their leading column; the scan stops as soon as ncols pivots exist.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = {j: v % _PRIME for j, v in _to_primitive_int_row(row).items() if v % _PRIME}
+        while vec:
+            col = min(vec)
+            pivot = basis.get(col)
+            if pivot is None:
+                inv = pow(vec[col], -1, _PRIME)
+                basis[col] = {j: v * inv % _PRIME for j, v in vec.items()}
+                if len(basis) == ncols:
+                    return True
+                break
+            factor = vec[col]
+            for j, w in pivot.items():
+                v = (vec.get(j, 0) - factor * w) % _PRIME
+                if v:
+                    vec[j] = v
+                else:
+                    vec.pop(j, None)
+    return len(basis) == ncols
+
+
 def rank(rows: list[SparseRow], ncols: int) -> int:
     return row_echelon(rows, ncols).rank
 
@@ -94,8 +129,10 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
     One vector per free column f, normalised so that entry f is 1 and the
     entries at the other free columns are 0; pivot entries are obtained by
     exact back-substitution, so every returned v satisfies rows . v = 0
-    bit-exactly.
+    bit-exactly.  Full column rank mod p returns [] without elimination.
     """
+    if _full_column_rank_mod_p(rows, ncols):
+        return []
     ech = row_echelon(rows, ncols)
     pivot_set = set(ech.pivot_cols)
     free_cols = [j for j in range(ncols) if j not in pivot_set]

@@ -506,18 +506,6 @@ def poly_parse(text: str, vars: VarSet) -> ExactPoly:
 
 # -- spec-named operation aliases -------------------------------------------
 
-def poly_add(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    return p + q
-
-
-def poly_mul(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    return p * q
-
-
-def poly_neg(p: ExactPoly) -> ExactPoly:
-    return -p
-
-
 def poly_pow(p: ExactPoly, k: int) -> ExactPoly:
     return p ** k
 

@@ -123,6 +123,29 @@ def test_criterion_05_divisibility_pipeline():
                 assert field_cert.checks["surface_restriction_exact"]
 
 
+def test_criterion_05_nonzero_kernel_sections():
+    # criterion 05's kernel is {0} on all three surfaces at m=1, c=5, a=1,
+    # so its certificate loop never runs; at m=2, c=2, a=3 the kernel is not
+    # trivial and real sections go through build_section
+    with criterion(5, "divisibility pipeline d=e=5, nonzero kernel", 60.0):
+        surf, _audit = random_generic_surface(random.Random(5005), 5, 5, audit_seed=5100)
+        spec = JetSpec(m=2, c=2, a=3)
+        system = assemble_divisibility_system(surf, spec)
+        basis = kernel_basis(system)
+        assert basis
+        for vector in basis[:3]:
+            assert any(vector)
+            assert all(v == 0 for v in system.matvec(vector))
+            field_cert = build_section(surf, spec, vector)
+            expansion = expand_lambda(field_cert.field, surf, spec)
+            for poly in expansion.entries.values():
+                _, exact = monomial_quotient(poly, "y", spec.c)
+                assert exact
+            _, exact = monomial_quotient(field_cert.jet, "y", spec.c)
+            assert exact and not field_cert.jet.is_zero()
+            assert field_cert.checks["surface_restriction_exact"]
+
+
 def test_criterion_06_transfer_identity():
     with criterion(6, "derivative transfer identity", 60.0):
         rng = random.Random(6006)

@@ -198,6 +198,29 @@ class TestOutputFile:
         assert body["command"] == "count"
         assert not list(tmp_path.glob(".jetdiff-*"))
 
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        code, body = run_cli(capsys, ["--out", str(out), "count", "--d", "5", "--e", "5"])
+        assert code == 3 and "does not exist" in body["error"]
+        assert not (tmp_path / "missing").exists()
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code, body = run_cli(capsys, ["--out", str(tmp_path), "count", "--d", "5", "--e", "5"])
+        assert code == 3 and "is a directory" in body["error"]
+
+    def test_matrix_out_in_missing_directory(self, capsys, monkeypatch, tmp_path,
+                                             generic_surface_file):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the system was assembled before the output check")
+
+        monkeypatch.setattr("jetdiff.cli.assemble_divisibility_system", no_solve)
+        matrix_path = tmp_path / "missing" / "matrix.txt"
+        code, body = run_cli(capsys, ["solve", "--surface", generic_surface_file,
+                                      "--m", "1", "--c", "1", "--a", "0", "--force",
+                                      "--matrix-out", str(matrix_path)])
+        assert code == 3 and "does not exist" in body["error"]
+        assert not (tmp_path / "missing").exists()
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("JETDIFF_SEED", "31")
         code, body = run_cli(capsys, ["verify", "--transfer", "--deg", "1",

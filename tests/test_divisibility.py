@@ -94,6 +94,13 @@ class TestKernel:
                 _, exact = monomial_quotient(poly, "y", spec.c)
                 assert exact
 
+    def test_full_rank_system_has_empty_kernel(self):
+        surf = surface(seed=5, d=5, e=5)
+        system = assemble_divisibility_system(surf, JetSpec(m=1, c=5, a=1))
+        ncols = len(system.columns)
+        assert kernel_basis(system) == []
+        assert rank(list(system.row_entries), ncols) == ncols
+
     def test_rank_stable_under_shuffle(self):
         surf = surface(seed=17)
         spec = JetSpec(m=1, c=2, a=1)

@@ -1,7 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jetdiff import linalg
 from jetdiff.linalg import matvec, nullspace, rank, row_echelon
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+P = linalg._PRIME
 
 
 def F(value, den=1):
@@ -109,3 +116,89 @@ def test_bareiss_matches_naive_fraction_elimination():
         assert len(basis) == oracle_nullity
         for vec in basis:
             assert all(v == 0 for v in matvec(rows, vec))
+
+
+# entries that vanish or collide mod p push the modular check off its fast path
+PRIME_ENTRIES = st.sampled_from([Fraction(P), Fraction(-2 * P), Fraction(P + 1),
+                                 Fraction(1, P), Fraction(3, P)])
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    extra = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["tall", "square", "wide"]))
+    nrows = {"tall": ncols + extra, "square": ncols, "wide": max(1, ncols - extra)}[shape]
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    entry = small | small | PRIME_ENTRIES
+    rows = [{j: v for j, v in enumerate(draw(st.lists(entry, min_size=ncols,
+                                                       max_size=ncols))) if v}
+            for _ in range(nrows)]
+    if nrows > 2 and draw(st.booleans()):
+        # a row dependent on two others
+        scale = draw(small)
+        combo = dict(rows[1])
+        for j, v in rows[2].items():
+            combo[j] = combo.get(j, 0) + scale * v
+        rows[0] = {j: v for j, v in combo.items() if v}
+    return rows, ncols
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_and_rank_match_naive_oracle(matrix):
+    rows, ncols = matrix
+    oracle_rank, oracle_nullity = _naive_fraction_rank_and_nullity(rows, ncols)
+    assert rank(rows, ncols) == oracle_rank
+    basis = nullspace(rows, ncols)
+    assert len(basis) == oracle_nullity
+    for vec in basis:
+        assert all(v == 0 for v in matvec(rows, vec))
+    as_rows = [dict(enumerate(vec)) for vec in basis]
+    assert _naive_fraction_rank_and_nullity(as_rows, ncols)[0] == len(basis)
+
+
+# full rank over Q (or, for the last case, kernel spanned by e_2), but
+# rank-deficient mod p after the primitive integer scaling
+UNLUCKY_PRIME = [
+    pytest.param([{0: F(1)}, {0: F(1), 1: F(P)}], 2, [], id="entry-multiple-of-p"),
+    pytest.param([{0: F(1), 1: F(2)}, {0: F(1 + P), 1: F(2)}], 2, [],
+                 id="rows-differ-by-multiple-of-p"),
+    pytest.param([{0: F(1, P), 1: F(1)}, {0: F(1)}], 2, [], id="denominator-p"),
+    pytest.param([{0: F(1)}, {0: F(1), 1: F(P)}], 3, [[0, 0, 1]], id="nonzero-kernel"),
+]
+
+
+@pytest.mark.parametrize("rows,ncols,kernel", UNLUCKY_PRIME)
+def test_unlucky_prime_falls_back_to_exact(monkeypatch, rows, ncols, kernel):
+    assert not linalg._full_column_rank_mod_p(rows, ncols)
+    calls = []
+    exact = linalg.row_echelon
+
+    def spy(matrix, width):
+        calls.append(width)
+        return exact(matrix, width)
+
+    monkeypatch.setattr(linalg, "row_echelon", spy)
+    assert nullspace(rows, ncols) == kernel
+    assert calls == [ncols]
+    assert rank(rows, ncols) == ncols - len(kernel)
+
+
+def test_row_content_divisible_by_p_is_divided_out():
+    rows = [{0: F(1)}, {1: F(P)}]
+    assert linalg._full_column_rank_mod_p(rows, 2)
+    assert nullspace(rows, 2) == []
+
+
+def test_full_rank_skips_elimination(monkeypatch):
+    def no_elimination(rows, ncols):
+        raise RuntimeError("row_echelon called")
+
+    monkeypatch.setattr(linalg, "row_echelon", no_elimination)
+    # both rows lead in column 0: the second pivot only appears after reduction
+    full_rank = [{0: F(2), 1: F(1, 3)}, {0: F(1), 1: F(-1)}]
+    assert nullspace(full_rank, 2) == []
+    deficient = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
+    with pytest.raises(RuntimeError, match="row_echelon called"):
+        nullspace(deficient, 2)
