@@ -14,10 +14,8 @@ from .polyring import (
     monomial_quotient,
     poly_diff,
     poly_parse,
-    poly_pow,
     poly_substitute,
     resultant,
-    resultant_y,
     squarefree_univariate,
 )
 from .jetbuilder import (
@@ -61,7 +59,6 @@ from .genericity import (
 from .injectivity import (
     GenericityGateError,
     InjectivityResult,
-    LinearMapMatrix,
     analyze_injectivity,
     injectivity_matrix,
     triangular_reduction_check,
@@ -71,7 +68,6 @@ from .injectivity import (
 )
 from .surfacecharts import (
     InfinityExponentReport,
-    StructuredJet,
     TransferResult,
     full_chart_transfer,
     homogenize_surface_and_check,

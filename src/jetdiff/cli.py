@@ -25,7 +25,7 @@ from .divisibility import (
 )
 from .genericity import DEFAULT_SEED, full_genericity_audit
 from .injectivity import analyze_injectivity
-from .jetbuilder import JetSpec, SurfacePair
+from .jetbuilder import XY, JetSpec, SurfacePair
 from .polyring import ParseError, poly_parse
 from .sampling import (
     random_coefficient_field,
@@ -101,7 +101,6 @@ def load_surface_file(path: str) -> SurfacePair:
         if name in polys:
             raise CliInputError(f"{path}:{lineno}: duplicate definition of {name}")
         try:
-            from .jetbuilder import XY
             polys[name] = poly_parse(body.strip(), XY)
         except ParseError as exc:
             raise CliInputError(f"{path}:{lineno}: {exc}") from exc
@@ -282,22 +281,24 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_PASS if all_ok else EXIT_FAIL), body
 
 
+def _chi_cross_check_json() -> dict:
+    cross = chi_cross_check_2_3()
+    return {"formula_value": str(cross.formula_value),
+            "classical_value": cross.classical_value,
+            "agrees": cross.agrees}
+
+
 def cmd_count(config: RunConfig) -> tuple[int, dict]:
     args = config.args
     try:
         report = count_report(args.d, args.e, m=args.m, a=args.a, c=args.c)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    cross = chi_cross_check_2_3()
     body = {"command": "count", **report.to_json_dict(),
             "e_upper_bound": e_upper_bound(args.d),
             "e_within_bound": args.e <= e_upper_bound(args.d),
             "cubic_nonnegative": report.cubic_value >= 0,
-            "chi_cross_check_2_3_0": {
-                "formula_value": str(cross.formula_value),
-                "classical_value": cross.classical_value,
-                "agrees": cross.agrees,
-            }}
+            "chi_cross_check_2_3_0": _chi_cross_check_json()}
     return EXIT_PASS, body
 
 
@@ -308,16 +309,11 @@ def cmd_chi(config: RunConfig) -> tuple[int, dict]:
         mirrored = euler_characteristic(args.e, args.d, args.m)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    cross = chi_cross_check_2_3()
     body = {"command": "chi", "d": args.d, "e": args.e, "m": args.m,
             "chi": str(value),
             "symmetric_value": str(mirrored),
             "symmetric_ok": value == mirrored,
-            "chi_cross_check_2_3_0": {
-                "formula_value": str(cross.formula_value),
-                "classical_value": cross.classical_value,
-                "agrees": cross.agrees,
-            }}
+            "chi_cross_check_2_3_0": _chi_cross_check_json()}
     return EXIT_PASS, body
 
 

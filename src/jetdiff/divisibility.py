@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .jetbuilder import (
+    XY,
     CoefficientField,
     JetContext,
     JetSpec,
@@ -47,20 +48,10 @@ def unknown_labels(spec: JetSpec) -> list[ColumnLabel]:
 
 
 @dataclass(frozen=True)
-class ConstraintSystem:
-    """Sparse exact matrix with labelled rows (monomials) and columns (unknowns)."""
+class ConstraintSystem(linalg.SparseMatrix):
+    """The divisibility matrix: rows are monomials, columns unknowns."""
 
-    columns: tuple[ColumnLabel, ...]
-    rows: tuple[RowLabel, ...]
-    row_entries: tuple[dict[int, Fraction], ...]
     unpruned_row_bound: int   # the exinscribed rectangle (m+1)*c*(a+dm+em+1)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.columns)
-
-    def matvec(self, vector: list[Fraction]) -> list[Fraction]:
-        return linalg.matvec(list(self.row_entries), vector)
 
     def to_triplet_text(self) -> str:
         """Sparse export: header `rows cols`, then one `row col num/den` per entry."""
@@ -82,45 +73,28 @@ def assemble_divisibility_system(surf: SurfacePair, spec: JetSpec) -> Constraint
     """
     m, c, a = spec.m, spec.c, spec.a
     ctx = JetContext(surf)
-    columns = tuple(unknown_labels(spec))
+    columns = unknown_labels(spec)
     base = {t: expand_lambda(unit_field(m, t), surf, spec, ctx)
             for t in index_tuples(m)}
-    column_entries: list[list[tuple[RowLabel, Fraction]]] = []
-    row_set: set[RowLabel] = set()
-    for (j, k, p, q, h, i) in columns:
-        entries: list[tuple[RowLabel, Fraction]] = []
-        for (alpha, beta), poly in base[(j, k, p, q)].entries.items():
-            for (mh, mi), coeff in poly.terms.items():
-                if mi + i < c:
-                    label = (alpha, beta, mh + h, mi + i)
-                    entries.append((label, coeff))
-                    row_set.add(label)
-        column_entries.append(entries)
-    rows = tuple(sorted(row_set, key=lambda r: (r[0], r[1], r[2] + r[3], -r[2])))
-    row_index = {label: ri for ri, label in enumerate(rows)}
-    row_entries: list[dict[int, Fraction]] = [dict() for _ in rows]
-    for ci, entries in enumerate(column_entries):
-        for label, coeff in entries:
-            ri = row_index[label]
-            acc = row_entries[ri].get(ci, Fraction(0)) + coeff
-            if acc:
-                row_entries[ri][ci] = acc
-            else:
-                row_entries[ri].pop(ci, None)
+    column_maps: list[dict[RowLabel, Fraction]] = [
+        {(alpha, beta, mh + h, mi + i): coeff
+         for (alpha, beta), poly in base[(j, k, p, q)].entries.items()
+         for (mh, mi), coeff in poly.terms.items() if mi + i < c}
+        for (j, k, p, q, h, i) in columns]
     bound = (m + 1) * c * (a + surf.d * m + surf.e * m + 1)
-    return ConstraintSystem(columns=columns, rows=rows,
-                            row_entries=tuple(row_entries),
-                            unpruned_row_bound=bound)
+    return ConstraintSystem.from_columns(
+        columns, column_maps, lambda r: (r[0], r[1], r[2] + r[3], -r[2]),
+        unpruned_row_bound=bound)
 
 
 def kernel_basis(system: ConstraintSystem) -> list[list[Fraction]]:
     """Exact basis of the nullspace; every vector satisfies system . v = 0."""
-    return linalg.nullspace(list(system.row_entries), len(system.columns))
+    return system.kernel()
 
 
 def solution_dimension(surf: SurfacePair, spec: JetSpec) -> int:
     system = assemble_divisibility_system(surf, spec)
-    return len(system.columns) - linalg.rank(list(system.row_entries), len(system.columns))
+    return len(system.columns) - system.rank()
 
 
 def vector_to_field(spec: JetSpec, vector: list[Fraction]) -> CoefficientField:
@@ -132,7 +106,6 @@ def vector_to_field(spec: JetSpec, vector: list[Fraction]) -> CoefficientField:
     for (j, k, p, q, h, i), value in zip(labels, vector):
         if value:
             builders.setdefault((j, k, p, q), {})[(h, i)] = Fraction(value)
-    from .jetbuilder import XY
     entries = {t: ExactPoly(XY, terms) for t, terms in builders.items()}
     return CoefficientField(spec.m, entries)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .divisibility import ColumnLabel, vector_to_field
 from .genericity import (
     DEFAULT_SEED,
     GenericityReport,
@@ -38,59 +39,27 @@ from .jetbuilder import (
     XY,
     CoefficientField,
     JetContext,
+    JetSpec,
     SurfacePair,
-    _PowerCache,
     expand_lambda,
     index_tuples,
     monomials_upto,
 )
 from .polyring import ExactPoly
 
-ColumnLabel = tuple[int, int, int, int, int, int]
-
 
 class GenericityGateError(RuntimeError):
     """A theorem verifier was invoked on a surface without a passing audit."""
 
 
-@dataclass(frozen=True)
-class LinearMapMatrix:
-    """Matrix of a linear map from coefficient vectors to polynomial coefficients."""
-
-    columns: tuple[tuple, ...]
-    rows: tuple[tuple, ...]           # monomial exponent tuples of the codomain
-    row_entries: tuple[dict[int, Fraction], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.columns)
-
-    def rank(self) -> int:
-        return linalg.rank(list(self.row_entries), len(self.columns))
-
-    def apply(self, vector: list[Fraction]) -> list[Fraction]:
-        return linalg.matvec(list(self.row_entries), vector)
-
-    def kernel(self) -> list[list[Fraction]]:
-        return linalg.nullspace(list(self.row_entries), len(self.columns))
-
-
-def _matrix_from_columns(columns: list[tuple], polys: list[ExactPoly]) -> LinearMapMatrix:
-    row_set = set()
-    for poly in polys:
-        row_set.update(poly.terms)
-    rows = tuple(sorted(row_set, key=lambda e: (sum(e), e)))
-    row_index = {e: ri for ri, e in enumerate(rows)}
-    row_entries: list[dict[int, Fraction]] = [dict() for _ in rows]
-    for ci, poly in enumerate(polys):
-        for exps, coeff in poly.terms.items():
-            row_entries[row_index[exps]][ci] = coeff
-    return LinearMapMatrix(columns=tuple(columns), rows=rows,
-                           row_entries=tuple(row_entries))
+def _matrix_from_polys(columns: list, polys: list[ExactPoly]) -> linalg.SparseMatrix:
+    """Columns are the coefficient vectors of polys; rows their monomials, graded-lex."""
+    return linalg.SparseMatrix.from_columns(columns, [poly.terms for poly in polys],
+                                            lambda e: (sum(e), e))
 
 
 def injectivity_matrix(surf: SurfacePair, m: int, a: int,
-                       enforce_cap: bool = True) -> LinearMapMatrix:
+                       enforce_cap: bool = True) -> linalg.SparseMatrix:
     """The matrix of A -> J in the canonical bases.
 
     Columns are the unknowns (j,k,p,q,h,i); rows the realised monomials of
@@ -108,7 +77,7 @@ def injectivity_matrix(surf: SurfacePair, m: int, a: int,
         for (h, i) in monomials_upto(a):
             columns.append(t + (h, i))
             polys.append(base.shift((h, i, 0, 0)))
-    return _matrix_from_columns(columns, polys)
+    return _matrix_from_polys(columns, polys)
 
 
 @dataclass(frozen=True)
@@ -154,19 +123,10 @@ def analyze_injectivity(surf: SurfacePair, m: int, a: int,
     injective = rank == len(matrix.columns)
     witness = None
     if not injective:
-        witness = _vector_to_field(m, a, matrix.kernel()[0])
+        witness = vector_to_field(JetSpec(m=m, c=0, a=a), matrix.kernel()[0])
     return InjectivityResult(columns=len(matrix.columns), rank=rank,
                              injective=injective, hypotheses_verified=verified,
                              kernel_witness=witness)
-
-
-def _vector_to_field(m: int, a: int, vector: list[Fraction]) -> CoefficientField:
-    labels = [t + (h, i) for t in index_tuples(m) for (h, i) in monomials_upto(a)]
-    builders: dict[tuple, dict[tuple[int, int], Fraction]] = {}
-    for (j, k, p, q, h, i), value in zip(labels, vector):
-        if value:
-            builders.setdefault((j, k, p, q), {})[(h, i)] = value
-    return CoefficientField(m, {t: ExactPoly(XY, terms) for t, terms in builders.items()})
 
 
 def verify_injectivity_theorem(surf: SurfacePair, m: int, a: int,
@@ -177,21 +137,19 @@ def verify_injectivity_theorem(surf: SurfacePair, m: int, a: int,
     return analyze_injectivity(surf, m, a, audit, force, seed).injective
 
 
-def rx_sx_matrix(surf: SurfacePair, m: int) -> LinearMapMatrix:
+def rx_sx_matrix(surf: SurfacePair, m: int) -> linalg.SparseMatrix:
     """Matrix of (A[p,q]) -> sum A[p,q] R_x^p S_x^q R^(m-p) S^(m-q), deg A <= d-1."""
-    rx, _, sx, _ = surf.partials()
-    pow_rx, pow_sx = _PowerCache(rx), _PowerCache(sx)
-    pow_r, pow_s = _PowerCache(surf.r), _PowerCache(surf.s)
+    ctx = JetContext(surf)
     cap = surf.d - 1
     columns: list[tuple] = []
     polys: list[ExactPoly] = []
     for p in range(m + 1):
         for q in range(m + 1 - p):
-            base = pow_rx[p] * pow_sx[q] * pow_r[m - p] * pow_s[m - q]
+            base = ctx.pow_rx[p] * ctx.pow_sx[q] * ctx.pow_r[m - p] * ctx.pow_s[m - q]
             for (h, i) in monomials_upto(cap):
                 columns.append((p, q, h, i))
                 polys.append(base.shift((h, i)))
-    return _matrix_from_columns(columns, polys)
+    return _matrix_from_polys(columns, polys)
 
 
 def verify_rx_sx_proposition(surf: SurfacePair, m: int,
@@ -227,18 +185,9 @@ def vanishing_lemma_check(p: ExactPoly, q: ExactPoly, amax: int,
     for poly, deg in ((p, dp), (q, dq)):
         for (h, i) in monomials_upto(truncation - deg):
             polys.append(poly.shift((h, i)))
-    row_set = set()
-    for poly in polys:
-        row_set.update(poly.terms)
-    rows = sorted(row_set, key=lambda e: (sum(e), e))
-    row_index = {e: ri for ri, e in enumerate(rows)}
-    full_rows: list[dict[int, Fraction]] = [dict() for _ in rows]
-    for ci, poly in enumerate(polys):
-        for exps, coeff in poly.terms.items():
-            full_rows[row_index[exps]][ci] = coeff
-    high_rows = [row for e, row in zip(rows, full_rows) if sum(e) > amax]
-    ncols = len(polys)
-    return linalg.rank(full_rows, ncols) == linalg.rank(high_rows, ncols)
+    matrix = _matrix_from_polys(list(range(len(polys))), polys)
+    high_rows = [row for e, row in zip(matrix.rows, matrix.row_entries) if sum(e) > amax]
+    return matrix.rank() == linalg.rank(high_rows, len(polys))
 
 
 def triangular_reduction_check(surf: SurfacePair, m: int,
@@ -252,9 +201,7 @@ def triangular_reduction_check(surf: SurfacePair, m: int,
     if m > 3:
         raise ValueError("desk-scale check: m <= 3")
     rng = random.Random(seed)
-    rx, _, sx, _ = surf.partials()
-    pow_rx, pow_sx = _PowerCache(rx), _PowerCache(sx)
-    pow_r, pow_s = _PowerCache(surf.r), _PowerCache(surf.s)
+    ctx = JetContext(surf)
 
     def random_poly() -> ExactPoly:
         terms = {}
@@ -264,7 +211,6 @@ def triangular_reduction_check(surf: SurfacePair, m: int,
                 terms[(h, i)] = Fraction(value)
         return ExactPoly(XY, terms)
 
-    from .jetbuilder import JetSpec
     for k_prime in range(1, m + 1):
         entries = {t: random_poly() for t in index_tuples(m) if t[1] >= k_prime}
         field = CoefficientField(m, entries)
@@ -277,9 +223,9 @@ def triangular_reduction_check(surf: SurfacePair, m: int,
                 a_poly = field.entries[(j, k_prime, p1, q1)]
                 if a_poly.is_zero():
                     continue
-                reduced = reduced + (a_poly * pow_rx[p1] * pow_sx[q1]
-                                     * pow_r[m - k_prime - p1] * pow_s[m - k_prime - q1])
-        rhs = pow_r[k_prime] * pow_s[k_prime] * reduced
+                reduced = reduced + (a_poly * ctx.pow_rx[p1] * ctx.pow_sx[q1]
+                                     * ctx.pow_r[m - k_prime - p1] * ctx.pow_s[m - k_prime - q1])
+        rhs = ctx.pow_r[k_prime] * ctx.pow_s[k_prime] * reduced
         if lhs != rhs:
             return False
     return True

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .polyring import ExactPoly, VarSet, poly_diff, poly_parse
+from .polyring import ExactPoly, PowerCache, VarSet, poly_diff, poly_parse
 
 XY = VarSet(("x", "y"))
 JET_VARS = VarSet(("x", "y", "x'", "y'"))
@@ -48,18 +48,6 @@ def monomials_upto(a: int) -> Iterator[tuple[int, int]]:
     for total in range(a + 1):
         for h in range(total, -1, -1):
             yield (h, total - h)
-
-
-class _PowerCache:
-    """Lazily grown list of powers of a fixed polynomial."""
-
-    def __init__(self, base: ExactPoly):
-        self._powers = [ExactPoly.const(base.vars, 1), base]
-
-    def __getitem__(self, k: int) -> ExactPoly:
-        while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] * self._powers[1])
-        return self._powers[k]
 
 
 class SurfacePair:
@@ -232,39 +220,59 @@ class LambdaExpansion:
 
 
 class JetContext:
-    """Cached per-surface data shared by repeated jet constructions."""
+    """Cached per-surface powers shared by repeated jet constructions.
 
-    def __init__(self, surf: SurfacePair):
+    The plane caches hold the powers of R, S and their partials in (x, y),
+    which expand_lambda multiplies out.  The six slot caches hold the powers
+    of the images of x', y', R, R', S, S' in one target ring; by default
+    the tautological images in (x, y, x', y'), where realize gives J.  Other
+    slot values realise the same sum after a change of jet chart: on the
+    surface (surfacecharts.restrict_to_surface) or at infinity
+    (surfacecharts.full_chart_transfer).
+    """
+
+    def __init__(self, surf: SurfacePair, slots: tuple[ExactPoly, ...] | None = None):
         self.surf = surf
         rx, ry, sx, sy = surf.partials()
-        self.rx, self.ry, self.sx, self.sy = rx, ry, sx, sy
-        # powers in the base plane (x, y)
-        self.pow_r = _PowerCache(surf.r)
-        self.pow_s = _PowerCache(surf.s)
-        self.pow_rx = _PowerCache(rx)
-        self.pow_ry = _PowerCache(ry)
-        self.pow_sx = _PowerCache(sx)
-        self.pow_sy = _PowerCache(sy)
-        # lifted to the jet variables (x, y, x', y')
-        xp = ExactPoly.variable(JET_VARS, "x'")
-        yp = ExactPoly.variable(JET_VARS, "y'")
-        self.xp_pow = _PowerCache(xp)
-        self.yp_pow = _PowerCache(yp)
-        r_lift = surf.r.extend_to(JET_VARS)
-        s_lift = surf.s.extend_to(JET_VARS)
-        r_prime = xp * rx.extend_to(JET_VARS) + yp * ry.extend_to(JET_VARS)
-        s_prime = xp * sx.extend_to(JET_VARS) + yp * sy.extend_to(JET_VARS)
-        self.pow_r_lift = _PowerCache(r_lift)
-        self.pow_s_lift = _PowerCache(s_lift)
-        self.pow_r_prime = _PowerCache(r_prime)
-        self.pow_s_prime = _PowerCache(s_prime)
+        self.pow_r = PowerCache(surf.r)
+        self.pow_s = PowerCache(surf.s)
+        self.pow_rx = PowerCache(rx)
+        self.pow_ry = PowerCache(ry)
+        self.pow_sx = PowerCache(sx)
+        self.pow_sy = PowerCache(sy)
+        if slots is None:
+            xp = ExactPoly.variable(JET_VARS, "x'")
+            yp = ExactPoly.variable(JET_VARS, "y'")
+            slots = (xp, yp,
+                     surf.r.extend_to(JET_VARS),
+                     xp * rx.extend_to(JET_VARS) + yp * ry.extend_to(JET_VARS),
+                     surf.s.extend_to(JET_VARS),
+                     xp * sx.extend_to(JET_VARS) + yp * sy.extend_to(JET_VARS))
+        self.target = slots[0].vars
+        (self.xp_pow, self.yp_pow, self.pow_r_slot, self.pow_rp_slot,
+         self.pow_s_slot, self.pow_sp_slot) = map(PowerCache, slots)
 
     def jet_term_base(self, t: IndexTuple, m: int) -> ExactPoly:
-        """x'^j y'^k Rp^p Sq^q R^(m-p) S^(m-q) for one index tuple, A = 1."""
+        """x'^j y'^k R'^p S'^q R^(m-p) S^(m-q) for one index tuple, A = 1."""
         j, k, p, q = t
         return (self.xp_pow[j] * self.yp_pow[k]
-                * self.pow_r_prime[p] * self.pow_s_prime[q]
-                * self.pow_r_lift[m - p] * self.pow_s_lift[m - q])
+                * self.pow_rp_slot[p] * self.pow_sp_slot[q]
+                * self.pow_r_slot[m - p] * self.pow_s_slot[m - q])
+
+    def realize(self, field: CoefficientField,
+                lift: Callable[[ExactPoly], ExactPoly] | None = None) -> ExactPoly:
+        """Sum of lift(A[t]) * jet_term_base(t) over the nonzero entries of field.
+
+        lift maps an (x, y) coefficient into the target ring; by default it
+        renames the variables into the target.
+        """
+        result = ExactPoly.zero(self.target)
+        for t, a_poly in field.items():
+            if a_poly.is_zero():
+                continue
+            image = a_poly.extend_to(self.target) if lift is None else lift(a_poly)
+            result = result + image * self.jet_term_base(t, field.m)
+        return result
 
 
 def _validate(field: CoefficientField, spec: JetSpec) -> None:
@@ -274,17 +282,10 @@ def _validate(field: CoefficientField, spec: JetSpec) -> None:
         raise ValueError(f"coefficient field exceeds the degree cap a={spec.a}")
 
 
-def build_jet(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
-              ctx: JetContext | None = None) -> ExactPoly:
+def build_jet(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> ExactPoly:
     """The jet polynomial J, homogeneous of degree m in (x', y')."""
     _validate(field, spec)
-    ctx = ctx or JetContext(surf)
-    result = ExactPoly.zero(JET_VARS)
-    for t, a_poly in field.items():
-        if a_poly.is_zero():
-            continue
-        result = result + a_poly.extend_to(JET_VARS) * ctx.jet_term_base(t, spec.m)
-    return result
+    return JetContext(surf).realize(field)
 
 
 def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec,

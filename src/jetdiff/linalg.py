@@ -8,10 +8,14 @@ exact integer division.  Pivoting picks the smallest absolute entry in the
 pivot column (ties broken by row index), which keeps the integer growth of
 sparse systems low and makes the whole reduction deterministic.
 
-`nullspace` first tries a one-sided certificate modulo the prime 2^61 - 1:
-reducing an integer matrix mod p can only lower its rank, so full column
-rank mod p proves that the kernel over Q is {0}.  Any other outcome, a
-nonzero kernel or an unlucky prime, falls back to the exact elimination.
+`nullspace` scales each row once, then tries a one-sided certificate
+modulo the prime 2^61 - 1 on the scaled rows: reducing an integer matrix
+mod p can only lower its rank, so full column rank mod p proves that the
+kernel over Q is {0}.  Any other outcome, a nonzero kernel or an unlucky
+prime, falls back to the exact elimination of the same rows.
+
+`SparseMatrix` is the labelled matrix every exact system of the package
+is built into, column by column, through `SparseMatrix.from_columns`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Callable, Hashable, Mapping, Sequence
 
 SparseRow = dict[int, Fraction]
 
@@ -131,9 +136,10 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
     exact back-substitution, so every returned v satisfies rows . v = 0
     bit-exactly.  Full column rank mod p returns [] without elimination.
     """
-    if _full_column_rank_mod_p(rows, ncols):
+    int_rows = [_to_primitive_int_row(r) for r in rows]
+    if _full_column_rank_mod_p(int_rows, ncols):
         return []
-    ech = row_echelon(rows, ncols)
+    ech = row_echelon(int_rows, ncols)
     pivot_set = set(ech.pivot_cols)
     free_cols = [j for j in range(ncols) if j not in pivot_set]
     basis: list[list[Fraction]] = []
@@ -152,3 +158,47 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
 
 def matvec(rows: list[SparseRow], vec: list[Fraction]) -> list[Fraction]:
     return [sum((c * vec[j] for j, c in row.items()), Fraction(0)) for row in rows]
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Exact sparse matrix with labelled rows and columns.
+
+    row_entries[ri] maps a column index to the nonzero coefficient in row
+    rows[ri]; no zero is ever stored and no row is empty.
+    """
+
+    columns: tuple
+    rows: tuple
+    row_entries: tuple[SparseRow, ...]
+
+    @classmethod
+    def from_columns(cls, columns: Sequence, column_maps: Sequence[Mapping[Hashable, Fraction]],
+                     row_key: Callable[[Hashable], object], **fields):
+        """The matrix whose column ci holds column_maps[ci][label] in row `label`.
+
+        Rows are the labels with a nonzero coefficient in some column, sorted
+        by row_key.  Extra keyword fields go to the constructor of a subclass.
+        """
+        rows = tuple(sorted({label for entries in column_maps
+                             for label, coeff in entries.items() if coeff}, key=row_key))
+        row_index = {label: ri for ri, label in enumerate(rows)}
+        row_entries: list[SparseRow] = [{} for _ in rows]
+        for ci, entries in enumerate(column_maps):
+            for label, coeff in entries.items():
+                if coeff:
+                    row_entries[row_index[label]][ci] = coeff
+        return cls(columns=tuple(columns), rows=rows, row_entries=tuple(row_entries), **fields)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), len(self.columns)
+
+    def matvec(self, vector: list[Fraction]) -> list[Fraction]:
+        return matvec(list(self.row_entries), vector)
+
+    def rank(self) -> int:
+        return rank(list(self.row_entries), len(self.columns))
+
+    def kernel(self) -> list[list[Fraction]]:
+        return nullspace(list(self.row_entries), len(self.columns))

@@ -186,13 +186,6 @@ class ExactPoly:
             return NEG_INF
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str):
-        """Degree in one variable; NEG_INF for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
-
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -504,10 +497,18 @@ def poly_parse(text: str, vars: VarSet) -> ExactPoly:
     return _Parser(text, vars).parse()
 
 
-# -- spec-named operation aliases -------------------------------------------
+# -- powers, derivatives and substitution -------------------------------------
 
-def poly_pow(p: ExactPoly, k: int) -> ExactPoly:
-    return p ** k
+class PowerCache:
+    """Lazily grown list of powers of a fixed polynomial: cache[k] is base**k."""
+
+    def __init__(self, base: ExactPoly):
+        self._powers = [ExactPoly.const(base.vars, 1), base]
+
+    def __getitem__(self, k: int) -> ExactPoly:
+        while len(self._powers) <= k:
+            self._powers.append(self._powers[-1] * self._powers[1])
+        return self._powers[k]
 
 
 def poly_diff(p: ExactPoly, name: str) -> ExactPoly:
@@ -539,7 +540,7 @@ def poly_substitute(p: ExactPoly, bindings: Mapping[str, ExactPoly]) -> ExactPol
             target = repl.vars
         elif repl.vars != target:
             raise ValueError("replacement polynomials disagree on target VarSet")
-    bound = {p.vars.index(name): repl for name, repl in bindings.items()}
+    bound = {p.vars.index(name): PowerCache(repl) for name, repl in bindings.items()}
     carried: dict[int, int] = {}
     for i, name in enumerate(p.vars.names):
         if i in bound:
@@ -547,14 +548,6 @@ def poly_substitute(p: ExactPoly, bindings: Mapping[str, ExactPoly]) -> ExactPol
         if name not in target:
             raise ValueError(f"unbound variable {name!r} missing from target {target!r}")
         carried[i] = target.index(name)
-
-    power_cache: dict[tuple[int, int], ExactPoly] = {}
-
-    def cached_pow(i: int, k: int) -> ExactPoly:
-        key = (i, k)
-        if key not in power_cache:
-            power_cache[key] = bound[i] ** k
-        return power_cache[key]
 
     n = len(target)
     result = ExactPoly.zero(target)
@@ -565,7 +558,7 @@ def poly_substitute(p: ExactPoly, bindings: Mapping[str, ExactPoly]) -> ExactPol
             if e == 0:
                 continue
             if i in bound:
-                factor = cached_pow(i, e)
+                factor = bound[i][e]
                 piece = factor if piece is None else piece * factor
             else:
                 carried_exps[carried[i]] = e
@@ -755,11 +748,6 @@ def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
     if len(last) - 1 > 0:
         return ExactPoly.zero(vars)
     return last_scalar.scale(sign)
-
-
-def resultant_y(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    """Resultant eliminating the variable named ``y``."""
-    return resultant(p, q, "y")
 
 
 def sylvester_resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:

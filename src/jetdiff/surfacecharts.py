@@ -4,14 +4,15 @@ Three families of exact identities are checked here, all as bit-exact
 polynomial equalities with denominators cleared by cross-multiplication
 (no rational-function type exists anywhere in the package):
 
-* surface restriction: substituting R -> z^d, R' -> d z^(d-1) z' (and the
-  t-analogues for S) into the structured jet makes it exactly divisible by
-  z^(m(d-1)) t^(m(e-1));
+* surface restriction: realising the jet (jetbuilder.JetContext) with the
+  slots R -> z^d, R' -> d z^(d-1) z' (and the t-analogues for S) makes it
+  exactly divisible by z^(m(d-1)) t^(m(e-1));
 
 * chart transfer: under the substitution x -> 1/x1, y -> y1/x1 (or the
   mirrored 1/y chart) the derivative combination x'R_x + y'R_y transfers to
   -x1' d R1 / x1^(d+1) + R1' / x1^d with R1(x1,y1) = x1^d R(1/x1, y1/x1),
-  and the whole jet differential factors as x1^(c-a-4m) times a polynomial;
+  and the whole jet differential, realised with these chart slots, factors
+  as x1^(c-a-4m) times a polynomial;
 
 * exponent bookkeeping: the residual chart exponent
   a - (h+i) + 2m - (2j+2k+p+q) is non-negative on the whole admissible
@@ -27,9 +28,9 @@ from fractions import Fraction
 from .jetbuilder import (
     JET_VARS,
     CoefficientField,
+    JetContext,
     JetSpec,
     SurfacePair,
-    _PowerCache,
     build_jet,
     index_tuples,
     monomials_upto,
@@ -44,71 +45,20 @@ INV_X = "inv_x"
 INV_Y = "inv_y"
 
 
-@dataclass(frozen=True)
-class StructuredJet:
-    """The jet kept unexpanded: coefficient entries plus slots for R, R', S, S'.
-
-    Realising the slots with the tautological values reproduces build_jet;
-    realising them with z^d, d z^(d-1) z', t^e, e t^(e-1) t' performs the
-    change of jet chart along the surface equations.
-    """
-
-    field: CoefficientField
-    surface: SurfacePair
-    spec: JetSpec
-
-    def realize(self, target: VarSet, r_slot: ExactPoly, rp_slot: ExactPoly,
-                s_slot: ExactPoly, sp_slot: ExactPoly) -> ExactPoly:
-        m = self.spec.m
-        xp = _PowerCache(ExactPoly.variable(target, "x'"))
-        yp = _PowerCache(ExactPoly.variable(target, "y'"))
-        r_pow, rp_pow = _PowerCache(r_slot), _PowerCache(rp_slot)
-        s_pow, sp_pow = _PowerCache(s_slot), _PowerCache(sp_slot)
-        result = ExactPoly.zero(target)
-        for (j, k, p, q), a_poly in self.field.items():
-            if a_poly.is_zero():
-                continue
-            result = result + (a_poly.extend_to(target) * xp[j] * yp[k]
-                               * rp_pow[p] * sp_pow[q] * r_pow[m - p] * s_pow[m - q])
-        return result
-
-    def expand(self) -> ExactPoly:
-        """The plain jet polynomial in (x, y, x', y')."""
-        surf = self.surface
-        rx, ry, sx, sy = surf.partials()
-        xp = ExactPoly.variable(JET_VARS, "x'")
-        yp = ExactPoly.variable(JET_VARS, "y'")
-        return self.realize(
-            JET_VARS,
-            surf.r.extend_to(JET_VARS),
-            xp * rx.extend_to(JET_VARS) + yp * ry.extend_to(JET_VARS),
-            surf.s.extend_to(JET_VARS),
-            xp * sx.extend_to(JET_VARS) + yp * sy.extend_to(JET_VARS),
-        )
-
-
 def restrict_to_surface(field: CoefficientField, surf: SurfacePair,
                         spec: JetSpec) -> tuple[ExactPoly, bool]:
-    """Substitute the surface equations into the structured jet and divide.
+    """Realise the jet with the surface slots and divide.
 
     R -> z^d, R' -> d z^(d-1) z', S -> t^e, S' -> e t^(e-1) t'; the result is
     divided by z^(m(d-1)) t^(m(e-1)).  The per-term exponent identity
     m*d - p >= m(d-1) (as p <= m) makes the division exact for every
     well-formed input; exact = False signals an implementation bug.
     """
-    jet = StructuredJet(field, surf, spec)
     d, e, m = surf.d, surf.e, spec.m
-    z = ExactPoly.variable(SURFACE_VARS, "z")
-    t = ExactPoly.variable(SURFACE_VARS, "t")
-    zp = ExactPoly.variable(SURFACE_VARS, "z'")
-    tp = ExactPoly.variable(SURFACE_VARS, "t'")
-    substituted = jet.realize(
-        SURFACE_VARS,
-        z ** d,
-        (z ** (d - 1) * zp).scale(d),
-        t ** e,
-        (t ** (e - 1) * tp).scale(e),
-    )
+    xp, yp, z, t, zp, tp = (ExactPoly.variable(SURFACE_VARS, name)
+                            for name in ("x'", "y'", "z", "t", "z'", "t'"))
+    slots = (xp, yp, z ** d, (z ** (d - 1) * zp).scale(d), t ** e, (t ** (e - 1) * tp).scale(e))
+    substituted = JetContext(surf, slots).realize(field)
     quotient, exact_z = monomial_quotient(substituted, "z", m * (d - 1))
     quotient, exact_t = monomial_quotient(quotient, "t", m * (e - 1))
     return quotient, exact_z and exact_t
@@ -253,7 +203,6 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
     r1 = _chart_polynomial(surf.r, d, chart)
     s1 = _chart_polynomial(surf.s, e, chart)
     u = ExactPoly.variable(CHART_VARS, "x1" if chart == INV_X else "y1")
-    other = ExactPoly.variable(CHART_VARS, "y1" if chart == INV_X else "x1")
     u_prime = ExactPoly.variable(CHART_VARS, "x1'" if chart == INV_X else "y1'")
     xp_img, yp_img = _chart_jet_images(chart)
 
@@ -264,26 +213,14 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
     bp = (u_prime * r1).scale(-d) + u * r1_prime
     bq = (u_prime * s1).scale(-e) + u * s1_prime
 
-    pow_u, pow_other = _PowerCache(u), _PowerCache(other)
-    pow_r1, pow_s1 = _PowerCache(r1), _PowerCache(s1)
-    pow_bp, pow_bq = _PowerCache(bp), _PowerCache(bq)
-    pow_xp_img, pow_yp_img = _PowerCache(xp_img), _PowerCache(yp_img)
-
-    residual_min = None
-    transferred = ExactPoly.zero(CHART_VARS)
-    for (j, k, p, q) in index_tuples(m):
-        a_poly = field.entries[(j, k, p, q)]
-        if a_poly.is_zero():
-            continue
-        base = (pow_xp_img[j] * pow_yp_img[k] * pow_bp[p] * pow_bq[q]
-                * pow_r1[m - p] * pow_s1[m - q])
-        for (h, i), coeff in a_poly.terms.items():
-            residual = a - (h + i) + 2 * m - (2 * j + 2 * k + p + q)
-            if residual_min is None or residual < residual_min:
-                residual_min = residual
-            surviving_exp = i if chart == INV_X else h
-            term = pow_u[residual] * pow_other[surviving_exp]
-            transferred = transferred + (base * term).scale(coeff)
+    # The per-term residual a - (h+i) + 2m - (2j+2k+p+q) equals
+    # (a - h - i) + (p + q) because j+k+p+q = m: the first part is the chart
+    # polynomial of A at degree a, the second rides on the R' and S' slots.
+    residual_min = min((a - (h + i) + 2 * m - (2 * j + 2 * k + p + q)
+                        for (j, k, p, q), a_poly in field.items() for (h, i) in a_poly.terms),
+                       default=0)
+    ctx = JetContext(surf, (xp_img, yp_img, r1, u * bp, s1, u * bq))
+    transferred = ctx.realize(field, lambda a_poly: _chart_polynomial(a_poly, a, chart))
 
     # cross-multiplied identity against the directly substituted jet:
     # u^(a+dm+em+2m) * Phi(J) must reproduce the transferred polynomial
@@ -295,14 +232,14 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
             base = ExactPoly.monomial(CHART_VARS, (clearing - ex - ey, ey, 0, 0), coeff)
         else:
             base = ExactPoly.monomial(CHART_VARS, (ex, clearing - ex - ey, 0, 0), coeff)
-        direct = direct + base * pow_xp_img[cx] * pow_yp_img[cy]
+        direct = direct + base * ctx.xp_pow[cx] * ctx.yp_pow[cy]
 
     identity_ok = (direct == transferred)
     return TransferResult(
         chart=chart,
         transferred=transferred,
         prefactor_exponent=spec.infinity_margin,
-        residual_min=residual_min if residual_min is not None else 0,
+        residual_min=residual_min,
         identity_ok=identity_ok,
     )
 

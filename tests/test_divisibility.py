@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -195,6 +196,14 @@ class TestExports:
             num, den = value.split("/")
             rebuilt[int(r)][int(c)] = Fraction(int(num), int(den))
         assert rebuilt == [dict(r) for r in system.row_entries]
+
+    def test_triplet_text_digest(self):
+        # pins the row order and every value of one small assembled system
+        surf = random_surface_pair(random.Random(5), 3, 3)
+        system = assemble_divisibility_system(surf, JetSpec(m=1, c=2, a=1))
+        assert system.shape == (30, 12)
+        digest = hashlib.sha256(system.to_triplet_text().encode()).hexdigest()
+        assert digest == "4c1fc091223844deb4626c1658be3682c2db49dc529098e862926a05bacb1afa"
 
     def test_kernel_json_labels(self):
         surf = surface(seed=61)

@@ -64,7 +64,7 @@ class TestMatrixAssembly:
             for t in index_tuples(m):
                 for (h, i) in monomials_upto(a):
                     vector.append(field.entries[t].coefficient((h, i)))
-            image = matrix.apply(vector)
+            image = matrix.matvec(vector)
             jet = build_jet(field, surf, JetSpec(m=m, c=0, a=a))
             for exps, value in zip(matrix.rows, image):
                 assert jet.coefficient(exps) == value

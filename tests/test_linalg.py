@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetdiff import linalg
-from jetdiff.linalg import matvec, nullspace, rank, row_echelon
+from jetdiff.linalg import SparseMatrix, matvec, nullspace, rank, row_echelon
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 P = linalg._PRIME
@@ -202,3 +202,26 @@ def test_full_rank_skips_elimination(monkeypatch):
     deficient = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
     with pytest.raises(RuntimeError, match="row_echelon called"):
         nullspace(deficient, 2)
+
+
+COEFFS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+COLUMN_MAPS = st.lists(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                       COEFFS, max_size=6), max_size=6)
+
+
+@PROPERTY
+@given(COLUMN_MAPS)
+def test_from_columns_realises_each_column(column_maps):
+    def row_key(label):
+        return (label[1], -label[0])
+
+    columns = [("col", ci) for ci in range(len(column_maps))]
+    matrix = SparseMatrix.from_columns(columns, column_maps, row_key)
+    assert matrix.columns == tuple(columns)
+    assert matrix.shape == (len(matrix.rows), len(column_maps))
+    assert list(matrix.rows) == sorted(set(matrix.rows), key=row_key)
+    assert all(row and all(v != 0 for v in row.values()) for row in matrix.row_entries)
+    for ci, entries in enumerate(column_maps):
+        unit = [Fraction(int(cj == ci)) for cj in range(len(column_maps))]
+        image = {label: v for label, v in zip(matrix.rows, matrix.matvec(unit)) if v}
+        assert image == {label: c for label, c in entries.items() if c}

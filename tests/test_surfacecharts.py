@@ -5,9 +5,9 @@ import pytest
 from jetdiff.jetbuilder import (
     XY,
     CoefficientField,
+    JetContext,
     JetSpec,
     SurfacePair,
-    build_jet,
     index_tuples,
     unit_field,
 )
@@ -20,7 +20,6 @@ from jetdiff.sampling import (
 from jetdiff.surfacecharts import (
     CHART_VARS,
     SURFACE_VARS,
-    StructuredJet,
     full_chart_transfer,
     homogenize_surface_and_check,
     restrict_to_surface,
@@ -58,21 +57,12 @@ class TestRestriction:
             spec = JetSpec(m=m, c=1, a=1)
             quotient, exact = restrict_to_surface(field, surf, spec)
             assert exact
-            z = ExactPoly.variable(SURFACE_VARS, "z")
-            t = ExactPoly.variable(SURFACE_VARS, "t")
-            zp = ExactPoly.variable(SURFACE_VARS, "z'")
-            tp = ExactPoly.variable(SURFACE_VARS, "t'")
-            jet = StructuredJet(field, surf, spec)
-            substituted = jet.realize(SURFACE_VARS, z ** d, (z ** (d - 1) * zp).scale(d),
-                                      t ** e, (t ** (e - 1) * tp).scale(e))
+            xp, yp, z, t, zp, tp = (ExactPoly.variable(SURFACE_VARS, name)
+                                    for name in ("x'", "y'", "z", "t", "z'", "t'"))
+            slots = (xp, yp, z ** d, (z ** (d - 1) * zp).scale(d),
+                     t ** e, (t ** (e - 1) * tp).scale(e))
+            substituted = JetContext(surf, slots).realize(field)
             assert quotient * z ** (m * (d - 1)) * t ** (m * (e - 1)) == substituted
-
-    def test_structured_expansion_is_build_jet(self):
-        rng = random.Random(10)
-        surf = random_surface_pair(rng, 2, 3)
-        field = random_coefficient_field(rng, 2, 1)
-        spec = JetSpec(m=2, c=1, a=1)
-        assert StructuredJet(field, surf, spec).expand() == build_jet(field, surf, spec)
 
 
 class TestDerivativeTransfer:
