@@ -5,10 +5,10 @@ j+k+p+q = m and monomial h+i <= a); the constraints say that every
 expansion coefficient Lambda[alpha,beta] is divisible by y^c, i.e. that
 the coefficient of each monomial x^h' y^i' with i' < c vanishes.  The
 matrix is assembled column by column from unit coefficient fields through
-the twice-checked expansion path, solved exactly (a mod-p full-rank
-certificate, else fraction-free elimination), and every kernel vector is
-re-verified independently via monomial_quotient before a certificate is
-issued.
+the twice-checked expansion path, solved exactly (a kernel certified mod
+p and verified by an exact matvec, else fraction-free elimination), and
+every kernel vector is re-verified independently via monomial_quotient
+before a certificate is issued.
 """
 
 from __future__ import annotations

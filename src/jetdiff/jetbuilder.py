@@ -275,7 +275,8 @@ class JetContext:
         return result
 
 
-def _validate(field: CoefficientField, spec: JetSpec) -> None:
+def validate_field(field: CoefficientField, spec: JetSpec) -> None:
+    """Reject a field whose m or degree cap does not match the spec."""
     if field.m != spec.m:
         raise ValueError(f"coefficient field has m={field.m}, spec has m={spec.m}")
     if not field.degree_cap_ok(spec.a):
@@ -284,14 +285,14 @@ def _validate(field: CoefficientField, spec: JetSpec) -> None:
 
 def build_jet(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> ExactPoly:
     """The jet polynomial J, homogeneous of degree m in (x', y')."""
-    _validate(field, spec)
+    validate_field(field, spec)
     return JetContext(surf).realize(field)
 
 
 def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
                   ctx: JetContext | None = None) -> LambdaExpansion:
     """The (alpha, beta) coefficients of J, computed by direct reindexation."""
-    _validate(field, spec)
+    validate_field(field, spec)
     ctx = ctx or JetContext(surf)
     m = spec.m
     entries: dict[tuple[int, int], ExactPoly] = {}

@@ -34,6 +34,7 @@ from .jetbuilder import (
     build_jet,
     index_tuples,
     monomials_upto,
+    validate_field,
 )
 from .polyring import ExactPoly, VarSet, monomial_quotient, poly_diff, poly_substitute
 
@@ -52,8 +53,10 @@ def restrict_to_surface(field: CoefficientField, surf: SurfacePair,
     R -> z^d, R' -> d z^(d-1) z', S -> t^e, S' -> e t^(e-1) t'; the result is
     divided by z^(m(d-1)) t^(m(e-1)).  The per-term exponent identity
     m*d - p >= m(d-1) (as p <= m) makes the division exact for every
-    well-formed input; exact = False signals an implementation bug.
+    well-formed input; exact = False signals an implementation bug.  A field
+    that does not match the spec raises ValueError, as in `build_jet`.
     """
+    validate_field(field, spec)
     d, e, m = surf.d, surf.e, spec.m
     xp, yp, z, t, zp, tp = (ExactPoly.variable(SURFACE_VARS, name)
                             for name in ("x'", "y'", "z", "t", "z'", "t'"))

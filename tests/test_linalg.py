@@ -9,6 +9,7 @@ from jetdiff.linalg import SparseMatrix, matvec, nullspace, rank, row_echelon
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 P = linalg._PRIME
+BOUND = linalg._RECONSTRUCTION_BOUND
 
 
 def F(value, den=1):
@@ -158,6 +159,119 @@ def test_nullspace_and_rank_match_naive_oracle(matrix):
     assert _naive_fraction_rank_and_nullity(as_rows, ncols)[0] == len(basis)
 
 
+@st.composite
+def planted_kernel_matrices(draw):
+    """Columns that are rational combinations of earlier ones, some beyond the bound."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    coeff = small | small | st.sampled_from([Fraction(2**40 + 1), Fraction(1, 2**40 + 1),
+                                             Fraction(P - 1), Fraction(1, P)])
+    columns = []
+    for j in range(ncols):
+        if j and draw(st.booleans()):
+            picks = draw(st.lists(st.integers(0, j - 1), min_size=1, max_size=2))
+            factors = [draw(coeff) for _ in picks]
+            columns.append([sum((f * columns[k][i] for f, k in zip(factors, picks)), Fraction(0))
+                            for i in range(nrows)])
+        else:
+            columns.append(draw(st.lists(small, min_size=nrows, max_size=nrows)))
+    rows = [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(nrows)]
+    return rows, ncols
+
+
+def _int_rows(rows):
+    return [linalg._to_primitive_int_row(r) for r in rows]
+
+
+def modp_rank(rows, ncols):
+    return len(linalg._echelon_mod_p(_int_rows(rows), ncols))
+
+
+@PROPERTY
+@given(matrices() | planted_kernel_matrices())
+def test_nullspace_equals_exact_route(matrix):
+    rows, ncols = matrix
+    int_rows = _int_rows(rows)
+    exact = linalg._exact_nullspace(int_rows, ncols)
+    basis = nullspace(rows, ncols)
+    assert basis == exact
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+    # the modular route proves the basis exactly when it can: the pivot
+    # columns agree mod p and every entry reconstructs within the bound
+    modular = linalg._modular_nullspace(int_rows, ncols)
+    provable = (set(linalg._echelon_mod_p(int_rows, ncols))
+                == set(row_echelon(int_rows, ncols).pivot_cols)
+                and all(abs(v.numerator) <= BOUND and v.denominator <= BOUND
+                        for vec in exact for v in vec))
+    assert (modular is not None) == provable
+    if modular is not None:
+        assert modular == exact
+
+
+def test_kernel_entry_beyond_the_bound_falls_back(monkeypatch):
+    # 2^40 + 1 = (2^21 + 1) / 2^21 mod p reconstructs within the bound, so
+    # only the exact matvec rejects the modular vector
+    assert linalg._rational_reconstruction((2**40 + 1) % P) == (2**21 + 1, 2**21)
+    calls = []
+    exact = linalg.row_echelon
+
+    def spy(matrix, width):
+        calls.append(width)
+        return exact(matrix, width)
+
+    monkeypatch.setattr(linalg, "row_echelon", spy)
+    assert nullspace([{0: F(1), 1: F(-(2**40 + 1))}], 2) == [[2**40 + 1, 1]]
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("ncols", [2, 63, 64, 65, 70])
+def test_slots_take_the_most_updates_without_carry(monkeypatch, ncols):
+    # upper-triangular all-ones rows are monic pivots holding p - 1 in every
+    # negated slot; the last row meets a lead of -1 at every column, so its
+    # last slots take ncols - 1 updates of (p - 1)^2 before they are read
+    rows = [{j: F(1) for j in range(k, ncols)} for k in range(ncols - 1)]
+    last = {j: F(-(j + 1)) for j in range(ncols - 1)}
+    last[ncols - 1] = F(-(ncols - 1))
+    rows.append(last)
+    monkeypatch.setattr(linalg, "row_echelon", None)
+    assert nullspace(rows, ncols) == [[0] * (ncols - 2) + [-1, 1]]
+    last[ncols - 1] = F(-ncols)
+    assert nullspace(rows, ncols) == []
+
+
+NEAR_P = [F(P - 1), F(1 - P), F(P - 2), F(-1), F(1)]
+
+
+@pytest.mark.parametrize("ncols", [12, 40])
+def test_dense_entries_near_p_match_naive_oracle(ncols):
+    rng = random.Random(ncols)
+    rows = [{j: rng.choice(NEAR_P) for j in range(ncols)} for _ in range(ncols - 3)]
+    rows.append({j: rows[0][j] + rows[1][j] * (P - 1) for j in range(ncols)})
+    basis = nullspace(rows, ncols)
+    assert len(basis) == _naive_fraction_rank_and_nullity(rows, ncols)[1]
+    for vec in basis:
+        assert all(v == 0 for v in matvec(rows, vec))
+
+
+@pytest.mark.parametrize("ncols", [64, 70])
+def test_dense_planted_kernel_near_p(monkeypatch, ncols):
+    # the naive oracle takes minutes at this size; the kernel is planted
+    # instead: each of the last three columns is column a minus column b
+    rng = random.Random(ncols)
+    rows = [{j: rng.choice(NEAR_P) for j in range(ncols - 3)} for _ in range(ncols - 1)]
+    expected = []
+    for f in range(ncols - 3, ncols):
+        a, b = rng.sample(range(ncols - 3), 2)
+        for row in rows:
+            row[f] = row[a] - row[b]
+        vec = [0] * ncols
+        vec[f], vec[a], vec[b] = 1, -1, 1
+        expected.append(vec)
+    monkeypatch.setattr(linalg, "row_echelon", None)
+    assert nullspace(rows, ncols) == expected
+
+
 # full rank over Q (or, for the last case, kernel spanned by e_2), but
 # rank-deficient mod p after the primitive integer scaling
 UNLUCKY_PRIME = [
@@ -171,7 +285,7 @@ UNLUCKY_PRIME = [
 
 @pytest.mark.parametrize("rows,ncols,kernel", UNLUCKY_PRIME)
 def test_unlucky_prime_falls_back_to_exact(monkeypatch, rows, ncols, kernel):
-    assert not linalg._full_column_rank_mod_p(rows, ncols)
+    assert modp_rank(rows, ncols) < ncols
     calls = []
     exact = linalg.row_echelon
 
@@ -187,7 +301,7 @@ def test_unlucky_prime_falls_back_to_exact(monkeypatch, rows, ncols, kernel):
 
 def test_row_content_divisible_by_p_is_divided_out():
     rows = [{0: F(1)}, {1: F(P)}]
-    assert linalg._full_column_rank_mod_p(rows, 2)
+    assert modp_rank(rows, 2) == 2
     assert nullspace(rows, 2) == []
 
 
@@ -199,9 +313,9 @@ def test_full_rank_skips_elimination(monkeypatch):
     # both rows lead in column 0: the second pivot only appears after reduction
     full_rank = [{0: F(2), 1: F(1, 3)}, {0: F(1), 1: F(-1)}]
     assert nullspace(full_rank, 2) == []
+    # a kernel proved mod p and verified exactly needs no elimination either
     deficient = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
-    with pytest.raises(RuntimeError, match="row_echelon called"):
-        nullspace(deficient, 2)
+    assert nullspace(deficient, 2) == [[-2, 1]]
 
 
 COEFFS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

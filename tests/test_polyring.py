@@ -87,6 +87,12 @@ def polys(vars, max_terms=8):
         lambda terms: ExactPoly(vars, terms))
 
 
+# nonzero bivariate polynomials of degree at most 3 in each variable
+SMALL_BIVARIATE = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                  rationals(5).filter(bool), min_size=1, max_size=5).map(
+    lambda terms: ExactPoly(XY, terms))
+
+
 def univariate(name, max_degree=4):
     """Nonzero polynomials in one variable of XY with rational coefficients."""
     i = XY.index(name)
@@ -117,6 +123,14 @@ class TestParsing:
             printed = str(p)
             assert poly_parse(printed, XY) == p
             assert str(poly_parse(printed, XY)) == printed
+
+    @PROPERTY
+    @given(polys(XY) | polys(JET_VARS))
+    def test_parse_print_parse_identity(self, p):
+        printed = str(p)
+        parsed = poly_parse(printed, p.vars)
+        assert parsed == p
+        assert str(parsed) == printed
 
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:
@@ -293,6 +307,11 @@ class TestResultant:
             assert resultant(p, q, "y") == sylvester_resultant(p, q, "y")
             assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
             checked += 1
+
+    @PROPERTY
+    @given(SMALL_BIVARIATE, SMALL_BIVARIATE)
+    def test_matches_sylvester_property(self, p, q):
+        assert resultant(p, q, "y") == sylvester_resultant(p, q, "y")
 
     def test_multiplicativity(self, rng):
         checked = 0

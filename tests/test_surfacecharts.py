@@ -65,6 +65,15 @@ class TestRestriction:
             assert quotient * z ** (m * (d - 1)) * t ** (m * (e - 1)) == substituted
 
 
+    def test_field_must_match_spec(self):
+        surf = surface()  # d = e = 3
+        field = random_coefficient_field(random.Random(0), 2, 1)
+        with pytest.raises(ValueError, match="m=2"):
+            restrict_to_surface(field, surf, JetSpec(m=1, c=1, a=1))
+        with pytest.raises(ValueError, match="degree cap"):
+            restrict_to_surface(unit_field(1, (1, 0, 0, 0), h=2), surf, JetSpec(m=1, c=1, a=1))
+
+
 class TestDerivativeTransfer:
     def test_degree_one_x(self):
         x = ExactPoly.variable(XY, "x")
