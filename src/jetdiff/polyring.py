@@ -11,7 +11,7 @@ No floating point is used anywhere.  The total degree of the zero
 polynomial is the dedicated sentinel ``NEG_INF``, which compares below
 every integer and is never conflated with 0 or -1.
 
-Fraction appears only at the boundary; the two hot inner loops run on
+Fraction appears only at the boundary; the three hot inner loops run on
 Python ints.  Multiplication clears each operand to integer numerators over
 the lcm of its denominators and packs every exponent tuple into one int,
 giving each variable a bit field of width
@@ -19,7 +19,10 @@ giving each variable a bit field of width
 operands' largest exponents in that variable, so no field can overflow.
 The univariate gcd runs a primitive remainder sequence on integer
 coefficient lists and divides by the leading coefficient once at the end.
-Each output coefficient is converted back to Fraction exactly once.
+The resultant clears denominators, runs the subresultant remainder
+sequence over Z[t] on integer coefficient lists and divides by the
+scaling factor once at the end.  Each output coefficient is converted back
+to Fraction exactly once.
 
 Term order is graded lexicographic with respect to the variable order fixed
 by the VarSet at creation; printing lists terms in descending graded-lex
@@ -298,10 +301,12 @@ class ExactPoly:
     def shift(self, exps: Exponents) -> "ExactPoly":
         """Multiply by the monomial with the given exponent tuple."""
         exps = tuple(exps)
-        if len(exps) != len(self.vars) or any(e < 0 for e in exps):
+        if len(exps) != len(self.vars) or any(e < 0 or not isinstance(e, int) for e in exps):
             raise ValueError(f"bad shift exponents {exps}")
-        return ExactPoly(self.vars, {tuple(a + b for a, b in zip(e, exps)): c
-                                     for e, c in self.terms.items()})
+        result = ExactPoly.zero(self.vars)
+        object.__setattr__(result, "terms", {tuple(a + b for a, b in zip(e, exps)): c
+                                             for e, c in self.terms.items()})
+        return result
 
     def extend_to(self, vars: VarSet) -> "ExactPoly":
         """Re-express over a larger VarSet containing all used variables by name."""
@@ -656,39 +661,147 @@ def _effective_variable(*polys: ExactPoly) -> str | None:
     return next(iter(used)) if used else None
 
 
-# -- resultant via the subresultant PRS -------------------------------------
+# -- resultant via the subresultant PRS over Z[t] ---------------------------
+#
+# A Z[t] element is a dense list of ints indexed by degree with a nonzero
+# last entry; [] is zero.  A polynomial in the eliminated variable is a list
+# of Z[t] elements indexed by its degree there, with a nonzero last entry.
 
-def _prem(f: list[ExactPoly], g: list[ExactPoly], vars: VarSet) -> list[ExactPoly]:
-    """Pseudo-remainder of dense coefficient lists (index = degree)."""
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _zneg(a: list[int]) -> list[int]:
+    return [-x for x in a]
+
+
+def _zpow(a: list[int], k: int) -> list[int]:
+    result = [1]
+    while k:
+        if k & 1:
+            result = _zmul(result, a)
+        k >>= 1
+        if k:
+            a = _zmul(a, a)
+    return result
+
+
+def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b in Z[t]; raises ValueError unless b divides a exactly."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    quotient = [0] * (len(a) - db)
+    while r:
+        shift = len(r) - 1 - db
+        c, rem = divmod(r[-1], lead)
+        if shift < 0 or rem:
+            raise ValueError("inexact polynomial division")
+        quotient[shift] = c
+        for k, y in enumerate(b, shift):
+            r[k] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return quotient
+
+
+def _zprem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    """Pseudo-remainder lc(g)**(deg f - deg g + 1) * f mod g."""
     df, dg = len(f) - 1, len(g) - 1
     if df < dg:
         return list(f)
     r = list(f)
-    dr = df
     steps = df - dg + 1
-    lc_g = g[dg]
-    while dr >= dg and any(not c.is_zero() for c in r):
-        lc_r = r[dr]
+    lc_g = g[-1]
+    while r and len(r) - 1 >= dg:
+        lc_r = r[-1]
         steps -= 1
-        shift = dr - dg
-        new = [c * lc_g for c in r]
-        for k in range(dg + 1):
-            new[k + shift] = new[k + shift] - lc_r * g[k]
-        while new and new[-1].is_zero():
-            new.pop()
-        r = new
-        dr = len(r) - 1
+        shift = len(r) - 1 - dg
+        # the leading entry cancels: lc_g * lc_r - lc_r * lc_g
+        r = [_zmul(c, lc_g) for c in r[:-1]]
+        for k in range(dg):
+            r[k + shift] = _zsub(r[k + shift], _zmul(lc_r, g[k]))
+        while r and not r[-1]:
+            r.pop()
     if steps > 0:
-        factor = lc_g ** steps
-        r = [c * factor for c in r]
+        factor = _zpow(lc_g, steps)
+        r = [_zmul(c, factor) for c in r]
     return r
 
 
-def _trim(coeffs: list[ExactPoly]) -> list[ExactPoly]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
+def _integer_resultant(f: list[list[int]], g: list[list[int]]) -> list[int]:
+    """Res(f, g) in Z[t] by Brown's subresultant PRS; f, g have degree >= 0."""
+    n, m = len(f) - 1, len(g) - 1
+    if n == 0 and m == 0:
+        return [1]
+    if m == 0:
+        return _zpow(g[0], n)
+    if n == 0:
+        return _zpow(f[0], m)
+
+    negate = n < m and (n * m) % 2 == 1
+    if n < m:
+        f, g, n, m = g, f, m, n
+
+    # last_scalar is the latest scalar subresultant; every division is exact
+    # in Z[t] because each quotient is a subresultant, a determinant in the
+    # input coefficients.
+    d = n - m
+    h = _zprem(f, g)
+    if d % 2 == 0:
+        h = [_zneg(c) for c in h]
+    lc = g[-1]
+    c = _zpow(lc, d)
+    last_scalar = c
+    neg_c = _zneg(c)
+    last = g
+    while h:
+        k = len(h) - 1
+        f, g = g, h
+        d = len(f) - 1 - k
+        b = _zneg(_zmul(lc, _zpow(neg_c, d)))
+        h = [_zdiv_exact(coeff, b) for coeff in _zprem(f, g)]
+        lc = g[-1]
+        if d > 1:
+            neg_c = _zdiv_exact(_zpow(_zneg(lc), d), _zpow(neg_c, d - 1))
+        else:
+            neg_c = _zneg(lc)
+        last_scalar = _zneg(neg_c)
+        last = g
+
+    if len(last) - 1 > 0:
+        return []
+    return _zneg(last_scalar) if negate else last_scalar
+
+
+def _integer_coeffs(p: ExactPoly, i: int, j: int | None) -> tuple[list[list[int]], int]:
+    """p times the lcm of its denominators, as a polynomial in variable i over Z[t],
+    where t is variable j (None when p uses no variable other than i)."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    coeffs: list[list[int]] = [[] for _ in range(max(e[i] for e in p.terms) + 1)]
+    for exps, coeff in p.terms.items():
+        row = coeffs[exps[i]]
+        k = 0 if j is None else exps[j]
+        if len(row) <= k:
+            row.extend([0] * (k + 1 - len(row)))
+        row[k] = coeff.numerator * (den // coeff.denominator)
+    return coeffs, den
 
 
 def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
@@ -696,58 +809,37 @@ def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
 
     Convention: Res(p, q) = lc(p)**deg(q) * prod q(roots of p); it is zero
     exactly when p and q share a factor of positive degree in the eliminated
-    variable.  The coefficient arithmetic stays in the polynomial ring of the
-    remaining variables, with division-exact reduction at each step of the
-    remainder sequence to control growth.
+    variable.  Apart from ``name``, p and q together may use at most one
+    variable t of their VarSet; ValueError otherwise.  Each input is scaled
+    by the lcm dp, dq of its denominators and the PRS of Collins and Brown
+    runs on integer coefficient lists in Z[t], every division checked exact.
+    The result is divided once by dp**deg(q) * dq**deg(p), the factor by
+    which the scaling multiplies the resultant.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial is undefined")
     p._check_same_vars(q)
     vars = p.vars
-    one = ExactPoly.const(vars, 1)
-
-    f = _trim(univariate_coeffs(p, name))
-    g = _trim(univariate_coeffs(q, name))
-    n, m = len(f) - 1, len(g) - 1
-    if n == 0 and m == 0:
-        return one
-    if m == 0:
-        return g[0] ** n
-    if n == 0:
-        return f[0] ** m
-
-    sign = Fraction(-1) if (n < m and (n * m) % 2 == 1) else Fraction(1)
-    if n < m:
-        f, g, n, m = g, f, m, n
-
-    # Brown's subresultant PRS; S collects the nonzero scalar subresultants.
-    d = n - m
-    b = (-one) ** (d + 1)
-    h = _trim([c * b for c in _prem(f, g, vars)])
-    lc = g[-1]
-    c = lc ** d
-    last_scalar = c
-    neg_c = -c
-    last = g
-    while h:
-        k = len(h) - 1
-        f, g = g, h
-        prev_deg = len(f) - 1
-        d = prev_deg - k
-        b = -(lc * (neg_c ** d))
-        raw = _prem(f, g, vars)
-        h = _trim([exact_divide(coeff, b) for coeff in raw])
-        lc = g[-1]
-        if d > 1:
-            neg_c = exact_divide((-lc) ** d, neg_c ** (d - 1))
-        else:
-            neg_c = -lc
-        last_scalar = -neg_c
-        last = g
-
-    if len(last) - 1 > 0:
-        return ExactPoly.zero(vars)
-    return last_scalar.scale(sign)
+    i = vars.index(name)
+    others = (set(p.used_variables()) | set(q.used_variables())) - {name}
+    if len(others) > 1:
+        raise ValueError(f"resultant supports one variable besides {name!r}, "
+                         f"found {sorted(others)}")
+    j = vars.index(others.pop()) if others else None
+    f, dp = _integer_coeffs(p, i, j)
+    g, dq = _integer_coeffs(q, i, j)
+    res = _integer_resultant(f, g)
+    den = dp ** (len(g) - 1) * dq ** (len(f) - 1)
+    exps = [0] * len(vars)
+    terms = {}
+    for k, c in enumerate(res):
+        if c:
+            if j is not None:
+                exps[j] = k
+            terms[tuple(exps)] = Fraction(c, den)
+    result = ExactPoly.zero(vars)
+    object.__setattr__(result, "terms", terms)
+    return result
 
 
 def sylvester_resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
@@ -756,8 +848,8 @@ def sylvester_resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
         raise ValueError("resultant of a zero polynomial is undefined")
     p._check_same_vars(q)
     vars = p.vars
-    f = _trim(univariate_coeffs(p, name))
-    g = _trim(univariate_coeffs(q, name))
+    f = univariate_coeffs(p, name)
+    g = univariate_coeffs(q, name)
     n, m = len(f) - 1, len(g) - 1
     size = n + m
     if size == 0:

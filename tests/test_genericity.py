@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -213,3 +215,34 @@ class TestFullAudit:
         assert set(body) == {"seed", "verdict", "passed", "checks", "optional_checks"}
         for check in body["checks"]:
             assert check["verdict"] in (PASS, FAIL, INCONCLUSIVE)
+
+
+class TestFailingAuditReports:
+    """Golden digests of failing audit reports.
+
+    Their witness strings are printed from resultants and their gcds, so a
+    change to either shows here even where every verdict stays the same.
+    """
+
+    CASES = {
+        # node at the origin: singular point, repeated factors, triple point
+        "singular_curve": ("x^3 + y^3 - x*y", "x^3 - 2*y^3 + x*y + 3*x - y + 5",
+                           "d6e86176988b249447aea44a875076d018b2206175d236e0e35028b46a431c63"),
+        # R = S: identically zero resultants; unseparated triple candidates
+        "equal_pair": ("x^3 + 2*y^3 - x*y + 3*x - 1", "x^3 + 2*y^3 - x*y + 3*x - 1",
+                       "bcf5a762e54d8f5293c2df70d07cb6b90ee645dcf08b11d55d597650145ec59b"),
+        # leading forms share the direction x = y: resultant degree 3 < 4
+        "points_at_infinity": ("x^2 - y^2 + y - 2", "x^2 + x*y - 2*y^2 + 3*x + 1",
+                               "3193ac5a846186573a62e55bf14888a75eacc97cef84d424cabca48d0e578505"),
+        # the conics touch at (+-1, 0): repeated resultant factor x^2 - 1
+        "tangency": ("x^2 + y^2 - 1", "x^2 + 4*y^2 - 1",
+                     "45255a73cad83b41a1ba32b09c710ccb7e49c56af9c9c28089d63dcb0544ca22"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_digest(self, case):
+        r_text, s_text, digest = self.CASES[case]
+        report = full_genericity_audit(SurfacePair.parse(r_text, s_text))
+        assert report.verdict == FAIL
+        body = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == digest

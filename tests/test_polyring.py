@@ -87,9 +87,11 @@ def polys(vars, max_terms=8):
         lambda terms: ExactPoly(vars, terms))
 
 
-# nonzero bivariate polynomials of degree at most 3 in each variable
-SMALL_BIVARIATE = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                                  rationals(5).filter(bool), min_size=1, max_size=5).map(
+# nonzero bivariate polynomials of degree at most 3 in x and 7 in y; at most
+# six terms, so the y-degrees have gaps; denominators up to 97, as the
+# audit's shears produce
+SPARSE_BIVARIATE = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 7)),
+                                   rationals(97).filter(bool), min_size=1, max_size=6).map(
     lambda terms: ExactPoly(XY, terms))
 
 
@@ -207,6 +209,18 @@ class TestRingOps:
         assert product.terms == reference_mul(p + q, p - q).terms
         assert product == reference_mul(p, p) - reference_mul(q, q)
 
+    @PROPERTY
+    @given(polys(JET_VARS), st.tuples(*[EXPONENTS] * 4))
+    def test_shift_matches_monomial_product(self, p, exps):
+        shifted = p.shift(exps)
+        assert shifted.terms == reference_mul(p, ExactPoly.monomial(JET_VARS, exps)).terms
+        assert all(type(c) is Fraction for c in shifted.terms.values())
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1), (1, 1.0)])
+    def test_shift_rejects_bad_exponents(self, exps):
+        with pytest.raises(ValueError):
+            X.shift(exps)
+
     def test_varset_mismatch(self):
         other = VarSet(("x", "z"))
         with pytest.raises(ValueError):
@@ -309,9 +323,40 @@ class TestResultant:
             checked += 1
 
     @PROPERTY
-    @given(SMALL_BIVARIATE, SMALL_BIVARIATE)
-    def test_matches_sylvester_property(self, p, q):
-        assert resultant(p, q, "y") == sylvester_resultant(p, q, "y")
+    @given(SPARSE_BIVARIATE, SPARSE_BIVARIATE, st.sampled_from(["x", "y"]))
+    def test_matches_sylvester_property(self, p, q, name):
+        assert resultant(p, q, name) == sylvester_resultant(p, q, name)
+        assert resultant(q, p, name) == sylvester_resultant(q, p, name)
+
+    def test_rational_common_factor_gives_zero(self):
+        common = poly_parse("y - 1/3*x + 2/7", XY)
+        p = common * poly_parse("y^2 + 5/11*x", XY)
+        q = common * poly_parse("3/4*y - x^2", XY)
+        assert resultant(p, q, "y").is_zero()
+        assert sylvester_resultant(p, q, "y").is_zero()
+
+    def test_degree_zero_in_eliminated_variable(self):
+        c = poly_parse("2/3*x^2 - 1/5", XY)
+        q = poly_parse("1/2*y^3 + x*y - 7", XY)
+        # Res(c, q) = c**deg(q) and Res(q, c) = c**deg(q) when deg(c) = 0
+        assert resultant(c, q, "y") == c ** 3 == sylvester_resultant(c, q, "y")
+        assert resultant(q, c, "y") == c ** 3 == sylvester_resultant(q, c, "y")
+        assert resultant(c, c * c, "y") == ONE
+
+    def test_jet_vars_pair_using_x_and_y(self):
+        p_text, q_text = "1/2*y^3 - x*y + 3", "y^2 - 2/9*x^3 + x"
+        p, q = poly_parse(p_text, JET_VARS), poly_parse(q_text, JET_VARS)
+        expected = resultant(poly_parse(p_text, XY), poly_parse(q_text, XY), "y")
+        for name in ("x", "y"):
+            assert resultant(p, q, name) == sylvester_resultant(p, q, name)
+        assert resultant(p, q, "y") == expected.extend_to(JET_VARS)
+
+    def test_two_other_variables_rejected(self):
+        with pytest.raises(ValueError):
+            resultant(poly_parse("y + x*x'", JET_VARS), poly_parse("y'^2 - 1", JET_VARS), "y'")
+        # the variables are counted over both inputs together
+        with pytest.raises(ValueError):
+            resultant(poly_parse("y^2 + x", JET_VARS), poly_parse("y - x'", JET_VARS), "y")
 
     def test_multiplicativity(self, rng):
         checked = 0
