@@ -1,6 +1,11 @@
 """Desk-scale exact verification of the injectivity statements.
 
-Three rank computations:
+Three rank computations.  Each rank is exact: one elimination modulo the
+prime 2^61 - 1 proves it when the rank mod p is full (row or column), or
+when the kernel mod p reconstructs to vectors that an exact matvec verifies;
+otherwise Bareiss elimination over Q decides it (see `linalg`).  The map
+A -> J takes its rank as columns minus the dimension of its kernel, which
+also yields the witness when the map is not injective.
 
 * the map A -> J from coefficient fields (degree cap a <= d-2) to jet
   polynomials has trivial kernel on audited-generic surfaces;
@@ -119,13 +124,11 @@ def analyze_injectivity(surf: SurfacePair, m: int, a: int,
     """Exact rank analysis of A -> J, gated on the genericity audit."""
     verified = _resolve_gate(surf, audit, force, seed)
     matrix = injectivity_matrix(surf, m, a, enforce_cap=True)
-    rank = matrix.rank()
-    injective = rank == len(matrix.columns)
-    witness = None
-    if not injective:
-        witness = vector_to_field(JetSpec(m=m, c=0, a=a), matrix.kernel()[0])
-    return InjectivityResult(columns=len(matrix.columns), rank=rank,
-                             injective=injective, hypotheses_verified=verified,
+    kernel = matrix.kernel()
+    witness = vector_to_field(JetSpec(m=m, c=0, a=a), kernel[0]) if kernel else None
+    return InjectivityResult(columns=len(matrix.columns),
+                             rank=len(matrix.columns) - len(kernel),
+                             injective=not kernel, hypotheses_verified=verified,
                              kernel_witness=witness)
 
 

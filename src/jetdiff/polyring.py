@@ -409,6 +409,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 MAX_NESTING = 100  # parenthesis depth; deeper input would exhaust the Python stack
+# total degree of any power or product the parser expands, that is of
+# operands with two or more terms each: expanding (x + y + 1)^k takes time
+# growing like k^4, about 0.7 s at k = 100.  A single term raised to a power
+# or multiplied only adds exponents, so printed monomials of any degree parse.
+MAX_DEGREE = 100
 
 
 class _Parser:
@@ -457,8 +462,11 @@ class _Parser:
     def term(self) -> ExactPoly:
         result = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            result = result * self.factor()
+            pos = self.advance()[2]
+            rhs = self.factor()
+            if len(result.terms) > 1 and len(rhs.terms) > 1:
+                _check_degree(result.total_degree() + rhs.total_degree(), pos)
+            result = result * rhs
         return result
 
     def factor(self) -> ExactPoly:
@@ -466,7 +474,10 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("num")
-            base = base ** int(tok[1])
+            exponent = int(tok[1])
+            if len(base.terms) > 1:
+                _check_degree(base.total_degree() * exponent, tok[2])
+            base = base ** exponent
         return base
 
     def base(self) -> ExactPoly:
@@ -495,6 +506,12 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"unexpected {value!r}", pos)
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    """Refuse to expand a power or product of total degree above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ParseError(f"total degree {degree} exceeds {MAX_DEGREE}", pos)
 
 
 def poly_parse(text: str, vars: VarSet) -> ExactPoly:

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -77,6 +78,15 @@ class TestAudit:
                         "S = x^2 + y^2 - 1\n")
         code, body = run_cli(capsys, ["audit", "--surface", str(path)])
         assert code == 3 and "nested" in body["error"]
+
+    def test_high_degree_power_is_an_input_error(self, capsys, tmp_path):
+        # expanding this power would take minutes; the cap refuses it first
+        path = tmp_path / "power.txt"
+        path.write_text("R = (x+y+1)^400 + x\nS = x^2 + y^2 - 1\n")
+        start = time.monotonic()
+        code, body = run_cli(capsys, ["audit", "--surface", str(path)])
+        assert code == 3 and "degree 400" in body["error"]
+        assert time.monotonic() - start < 10
 
     def test_determinism(self, capsys, generic_surface_file):
         main(["audit", "--surface", generic_surface_file])

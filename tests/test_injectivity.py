@@ -22,6 +22,7 @@ from jetdiff.jetbuilder import (
     index_tuples,
     monomials_upto,
 )
+from jetdiff.linalg import row_echelon
 from jetdiff.polyring import ExactPoly, poly_parse
 from jetdiff.sampling import (
     random_coefficient_field,
@@ -103,11 +104,14 @@ class TestInjectivityTheorem:
         result = analyze_injectivity(degenerate, 1, 1, force=True)
         assert not result.hypotheses_verified
         assert result.columns == 12 and 0 <= result.rank <= 12
-        if not result.injective:
-            witness = result.kernel_witness
-            assert witness is not None
-            jet = build_jet(witness, degenerate, JetSpec(m=1, c=0, a=1))
-            assert jet.is_zero()
+        # the rank taken from the kernel is the exact Bareiss rank
+        matrix = injectivity_matrix(degenerate, 1, 1)
+        assert result.rank == row_echelon(list(matrix.row_entries), 12).rank == 9
+        assert not result.injective
+        witness = result.kernel_witness
+        assert witness is not None
+        jet = build_jet(witness, degenerate, JetSpec(m=1, c=0, a=1))
+        assert jet.is_zero()
 
     def test_asymmetric_degrees(self):
         rng = random.Random(131)

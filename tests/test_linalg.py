@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetdiff import linalg
+from jetdiff.injectivity import injectivity_matrix
 from jetdiff.linalg import SparseMatrix, matvec, nullspace, rank, row_echelon
+from jetdiff.sampling import random_generic_surface
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 P = linalg._PRIME
@@ -199,8 +201,9 @@ def test_nullspace_equals_exact_route(matrix):
     assert all(type(v) is Fraction for vec in basis for v in vec)
     # the modular route proves the basis exactly when it can: the pivot
     # columns agree mod p and every entry reconstructs within the bound
-    modular = linalg._modular_nullspace(int_rows, ncols)
-    provable = (set(linalg._echelon_mod_p(int_rows, ncols))
+    monic = linalg._echelon_mod_p(int_rows, ncols)
+    modular = linalg._modular_nullspace(int_rows, ncols, monic)
+    provable = (set(monic)
                 == set(row_echelon(int_rows, ncols).pivot_cols)
                 and all(abs(v.numerator) <= BOUND and v.denominator <= BOUND
                         for vec in exact for v in vec))
@@ -209,10 +212,8 @@ def test_nullspace_equals_exact_route(matrix):
         assert modular == exact
 
 
-def test_kernel_entry_beyond_the_bound_falls_back(monkeypatch):
-    # 2^40 + 1 = (2^21 + 1) / 2^21 mod p reconstructs within the bound, so
-    # only the exact matvec rejects the modular vector
-    assert linalg._rational_reconstruction((2**40 + 1) % P) == (2**21 + 1, 2**21)
+def spy_row_echelon(monkeypatch):
+    """Record the width of every `row_echelon` call; the calls still run."""
     calls = []
     exact = linalg.row_echelon
 
@@ -221,6 +222,14 @@ def test_kernel_entry_beyond_the_bound_falls_back(monkeypatch):
         return exact(matrix, width)
 
     monkeypatch.setattr(linalg, "row_echelon", spy)
+    return calls
+
+
+def test_kernel_entry_beyond_the_bound_falls_back(monkeypatch):
+    # 2^40 + 1 = (2^21 + 1) / 2^21 mod p reconstructs within the bound, so
+    # only the exact matvec rejects the modular vector
+    assert linalg._rational_reconstruction((2**40 + 1) % P) == (2**21 + 1, 2**21)
+    calls = spy_row_echelon(monkeypatch)
     assert nullspace([{0: F(1), 1: F(-(2**40 + 1))}], 2) == [[2**40 + 1, 1]]
     assert calls == [2]
 
@@ -286,17 +295,12 @@ UNLUCKY_PRIME = [
 @pytest.mark.parametrize("rows,ncols,kernel", UNLUCKY_PRIME)
 def test_unlucky_prime_falls_back_to_exact(monkeypatch, rows, ncols, kernel):
     assert modp_rank(rows, ncols) < ncols
-    calls = []
-    exact = linalg.row_echelon
-
-    def spy(matrix, width):
-        calls.append(width)
-        return exact(matrix, width)
-
-    monkeypatch.setattr(linalg, "row_echelon", spy)
+    calls = spy_row_echelon(monkeypatch)
     assert nullspace(rows, ncols) == kernel
     assert calls == [ncols]
+    calls.clear()
     assert rank(rows, ncols) == ncols - len(kernel)
+    assert calls == [ncols]
 
 
 def test_row_content_divisible_by_p_is_divided_out():
@@ -306,16 +310,36 @@ def test_row_content_divisible_by_p_is_divided_out():
 
 
 def test_full_rank_skips_elimination(monkeypatch):
-    def no_elimination(rows, ncols):
-        raise RuntimeError("row_echelon called")
-
-    monkeypatch.setattr(linalg, "row_echelon", no_elimination)
+    calls = spy_row_echelon(monkeypatch)
     # both rows lead in column 0: the second pivot only appears after reduction
     full_rank = [{0: F(2), 1: F(1, 3)}, {0: F(1), 1: F(-1)}]
     assert nullspace(full_rank, 2) == []
+    assert rank(full_rank + [{1: F(5)}], 2) == 2
     # a kernel proved mod p and verified exactly needs no elimination either
     deficient = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
     assert nullspace(deficient, 2) == [[-2, 1]]
+    assert rank(deficient, 2) == 1
+    # full row rank: its kernel entries are beyond the bound, so only the
+    # row count proves the rank
+    wide = [{0: F(2**40 + 1), 1: F(3), 2: F(1)}, {}, {0: F(5), 1: F(2**41 + 7), 2: F(1)}]
+    int_rows = _int_rows(wide)
+    assert linalg._modular_nullspace(int_rows, 3, linalg._echelon_mod_p(int_rows, 3)) is None
+    assert rank(wide, 3) == 2
+    assert calls == []
+
+
+def test_injectivity_ranks_of_the_verify_suite(monkeypatch):
+    # `verify --injectivity --d 4 --m 2` at seed 1: two 570x60 matrices of
+    # full column rank, with Bareiss pivots of several hundred bits
+    rng = random.Random(1)
+    calls = spy_row_echelon(monkeypatch)
+    for index in range(2):
+        surf, _ = random_generic_surface(rng, 4, 4, audit_seed=1 + index)
+        matrix = injectivity_matrix(surf, 2, 2)
+        rows = list(matrix.row_entries)
+        assert matrix.shape == (570, 60)
+        assert rank(rows, 60) == row_echelon(rows, 60).rank
+    assert calls == []
 
 
 COEFFS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

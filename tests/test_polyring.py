@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jetdiff.jetbuilder import JET_VARS, XY
 from jetdiff.polyring import (
+    MAX_DEGREE,
     MAX_NESTING,
     NEG_INF,
     ExactPoly,
@@ -153,6 +154,17 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             poly_parse("(" + at_cap + ")", XY)
         assert err.value.position == MAX_NESTING
+
+    def test_expansion_degree_capped(self):
+        at_cap = poly_parse(f"(x+1)^{MAX_DEGREE // 2}*(x+y)^{MAX_DEGREE // 2}", XY)
+        assert at_cap.total_degree() == MAX_DEGREE
+        # single terms only add exponents: no expansion, no cap
+        assert poly_parse("x^300*y^300*(x+1)", XY).total_degree() == 601
+        over = [f"(x+1)^{MAX_DEGREE + 1}", f"(x+1)^50*(y-1)^{MAX_DEGREE - 49}",
+                f"(x+y)*(x^{MAX_DEGREE}+1)", f"(x^2+y)^{MAX_DEGREE // 2 + 1}"]
+        for text in over:
+            with pytest.raises(ParseError, match="exceeds"):
+                poly_parse(text, XY)
 
     def test_primed_identifiers(self):
         jet = VarSet(("x", "x'"))
