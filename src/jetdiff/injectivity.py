@@ -1,11 +1,11 @@
 """Desk-scale exact verification of the injectivity statements.
 
-Three rank computations.  Each rank is exact: one elimination modulo the
-prime 2^61 - 1 proves it when the rank mod p is full (row or column), or
-when the kernel mod p reconstructs to vectors that an exact matvec verifies;
-otherwise Bareiss elimination over Q decides it (see `linalg`).  The map
-A -> J takes its rank as columns minus the dimension of its kernel, which
-also yields the witness when the map is not injective.
+Three rank computations.  Each rank is columns minus the dimension of the
+exact kernel, which one elimination modulo the prime 2^61 - 1 proves when
+the rank mod p is full or the kernel mod p reconstructs to vectors that an
+exact matvec verifies; otherwise Bareiss elimination over Q decides it (see
+`linalg`).  The map A -> J takes its kernel once, which also yields the
+witness when the map is not injective.
 
 * the map A -> J from coefficient fields (degree cap a <= d-2) to jet
   polynomials has trivial kernel on audited-generic surfaces;

@@ -23,11 +23,9 @@ the normalised basis on F_Q is unique.  A failed reconstruction or check
 falls back to Bareiss elimination and exact back-substitution on the same
 rows.
 
-`rank` takes the same route with one elimination mod p.  It returns the
-rank mod p when that equals min(nonzero rows, ncols): the rank over Q lies
-between the two.  Otherwise it returns ncols minus the length of a verified
-kernel basis, which is exact because the verified basis shows F_p = F_Q.
-Only when both fail does Bareiss elimination decide the rank.
+`rank` is ncols minus the length of that basis, so it takes the same
+route: full column rank mod p or a verified kernel proves it, and only a
+failed proof reaches Bareiss elimination.
 
 `SparseMatrix` is the labelled matrix every exact system of the package
 is built into, column by column, through `SparseMatrix.from_columns`.
@@ -218,12 +216,9 @@ def _rational_reconstruction(residue: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_nullspace(int_rows: list[dict[int, int]], ncols: int,
-                       monic: dict[int, list[int]]) -> list[list[Fraction]] | None:
-    """The normalised kernel basis, proved through p; None when the proof fails.
-
-    monic is `_echelon_mod_p(int_rows, ncols)`, computed once by the caller.
-    """
+def _modular_nullspace(int_rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]] | None:
+    """The normalised kernel basis, proved through p; None when the proof fails."""
+    monic = _echelon_mod_p(int_rows, ncols)
     if len(monic) == ncols:
         return []
     reduced = _reduced_echelon_mod_p(monic, ncols)
@@ -296,29 +291,17 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
     that exact route on the same integer rows.
     """
     int_rows = [_to_primitive_int_row(r) for r in rows]
-    basis = _modular_nullspace(int_rows, ncols, _echelon_mod_p(int_rows, ncols))
+    basis = _modular_nullspace(int_rows, ncols)
     return _exact_nullspace(int_rows, ncols) if basis is None else basis
 
 
 def rank(rows: list[SparseRow], ncols: int) -> int:
-    """Exact rank over Q.
+    """Exact rank over Q: ncols minus the length of the `nullspace` basis.
 
-    One elimination mod p decides it whenever it can prove the answer.  A
-    rank mod p equal to min(nonzero rows, ncols) is the rank over Q, since
-    reducing mod p can only lower the rank and no rank exceeds that minimum.
-    Otherwise a kernel basis proved as in `nullspace` gives ncols minus its
-    length, because the proof shows the free columns mod p and over Q are the
-    same.  When neither holds, Bareiss elimination on the same integer rows
-    decides.
+    The basis is proved mod p or computed by Bareiss elimination, so the rank
+    is exact on either route.
     """
-    int_rows = [_to_primitive_int_row(r) for r in rows]
-    monic = _echelon_mod_p(int_rows, ncols)
-    if len(monic) == min(sum(1 for row in int_rows if row), ncols):
-        return len(monic)
-    basis = _modular_nullspace(int_rows, ncols, monic)
-    if basis is not None:
-        return ncols - len(basis)
-    return row_echelon(int_rows, ncols).rank
+    return ncols - len(nullspace(rows, ncols))
 
 
 def matvec(rows: list[SparseRow], vec: list[Fraction]) -> list[Fraction]:

@@ -201,9 +201,8 @@ def test_nullspace_equals_exact_route(matrix):
     assert all(type(v) is Fraction for vec in basis for v in vec)
     # the modular route proves the basis exactly when it can: the pivot
     # columns agree mod p and every entry reconstructs within the bound
-    monic = linalg._echelon_mod_p(int_rows, ncols)
-    modular = linalg._modular_nullspace(int_rows, ncols, monic)
-    provable = (set(monic)
+    modular = linalg._modular_nullspace(int_rows, ncols)
+    provable = (set(linalg._echelon_mod_p(int_rows, ncols))
                 == set(row_echelon(int_rows, ncols).pivot_cols)
                 and all(abs(v.numerator) <= BOUND and v.denominator <= BOUND
                         for vec in exact for v in vec))
@@ -319,11 +318,8 @@ def test_full_rank_skips_elimination(monkeypatch):
     deficient = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
     assert nullspace(deficient, 2) == [[-2, 1]]
     assert rank(deficient, 2) == 1
-    # full row rank: its kernel entries are beyond the bound, so only the
-    # row count proves the rank
-    wide = [{0: F(2**40 + 1), 1: F(3), 2: F(1)}, {}, {0: F(5), 1: F(2**41 + 7), 2: F(1)}]
-    int_rows = _int_rows(wide)
-    assert linalg._modular_nullspace(int_rows, 3, linalg._echelon_mod_p(int_rows, 3)) is None
+    # full row rank, wide: the rank follows from the verified kernel
+    wide = [{0: F(1), 1: F(3), 2: F(1)}, {}, {0: F(5), 1: F(2), 2: F(1, 2)}]
     assert rank(wide, 3) == 2
     assert calls == []
 
