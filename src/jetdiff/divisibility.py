@@ -74,12 +74,14 @@ def assemble_divisibility_system(surf: SurfacePair, spec: JetSpec) -> Constraint
     m, c, a = spec.m, spec.c, spec.a
     ctx = JetContext(surf)
     columns = unknown_labels(spec)
-    base = {t: expand_lambda(unit_field(m, t), surf, spec, ctx)
+    # the coefficients of each base expansion, read once per tuple
+    base = {t: [(alpha, beta, poly.coefficients()) for (alpha, beta), poly
+                in expand_lambda(unit_field(m, t), surf, spec, ctx).entries.items()]
             for t in index_tuples(m)}
     column_maps: list[dict[RowLabel, Fraction]] = [
         {(alpha, beta, mh + h, mi + i): coeff
-         for (alpha, beta), poly in base[(j, k, p, q)].entries.items()
-         for (mh, mi), coeff in poly.terms.items() if mi + i < c}
+         for alpha, beta, terms in base[(j, k, p, q)]
+         for (mh, mi), coeff in terms.items() if mi + i < c}
         for (j, k, p, q, h, i) in columns]
     bound = (m + 1) * c * (a + surf.d * m + surf.e * m + 1)
     return ConstraintSystem.from_columns(

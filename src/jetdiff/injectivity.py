@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .divisibility import ColumnLabel, vector_to_field
@@ -57,10 +58,17 @@ class GenericityGateError(RuntimeError):
     """A theorem verifier was invoked on a surface without a passing audit."""
 
 
-def _matrix_from_polys(columns: list, polys: list[ExactPoly]) -> linalg.SparseMatrix:
-    """Columns are the coefficient vectors of polys; rows their monomials, graded-lex."""
-    return linalg.SparseMatrix.from_columns(columns, [poly.terms for poly in polys],
-                                            lambda e: (sum(e), e))
+def _matrix_from_shifts(columns: list, groups: list[tuple[ExactPoly, list[tuple]]]
+                        ) -> linalg.SparseMatrix:
+    """Columns are the coefficient vectors of base * x^shift, taken in order over
+    the (base, shifts) groups; rows are their monomials, graded-lex.  The
+    coefficients of each base are read once for all its shifts."""
+    column_maps = []
+    for base, shifts in groups:
+        terms = base.coefficients().items()
+        for shift in shifts:
+            column_maps.append({tuple(map(add, exps, shift)): coeff for exps, coeff in terms})
+    return linalg.SparseMatrix.from_columns(columns, column_maps, lambda e: (sum(e), e))
 
 
 def injectivity_matrix(surf: SurfacePair, m: int, a: int,
@@ -75,14 +83,11 @@ def injectivity_matrix(surf: SurfacePair, m: int, a: int,
     if enforce_cap and a > surf.d - 2:
         raise ValueError(f"degree cap violated: a={a} > d-2={surf.d - 2}")
     ctx = JetContext(surf)
-    columns: list[ColumnLabel] = []
-    polys: list[ExactPoly] = []
-    for t in index_tuples(m):
-        base = ctx.jet_term_base(t, m)
-        for (h, i) in monomials_upto(a):
-            columns.append(t + (h, i))
-            polys.append(base.shift((h, i, 0, 0)))
-    return _matrix_from_polys(columns, polys)
+    monomials = list(monomials_upto(a))
+    columns: list[ColumnLabel] = [t + mono for t in index_tuples(m) for mono in monomials]
+    shifts = [(h, i, 0, 0) for (h, i) in monomials]
+    return _matrix_from_shifts(columns, [(ctx.jet_term_base(t, m), shifts)
+                                         for t in index_tuples(m)])
 
 
 @dataclass(frozen=True)
@@ -143,16 +148,15 @@ def verify_injectivity_theorem(surf: SurfacePair, m: int, a: int,
 def rx_sx_matrix(surf: SurfacePair, m: int) -> linalg.SparseMatrix:
     """Matrix of (A[p,q]) -> sum A[p,q] R_x^p S_x^q R^(m-p) S^(m-q), deg A <= d-1."""
     ctx = JetContext(surf)
-    cap = surf.d - 1
+    shifts = list(monomials_upto(surf.d - 1))
     columns: list[tuple] = []
-    polys: list[ExactPoly] = []
+    groups: list[tuple[ExactPoly, list[tuple]]] = []
     for p in range(m + 1):
         for q in range(m + 1 - p):
             base = ctx.pow_rx[p] * ctx.pow_sx[q] * ctx.pow_r[m - p] * ctx.pow_s[m - q]
-            for (h, i) in monomials_upto(cap):
-                columns.append((p, q, h, i))
-                polys.append(base.shift((h, i)))
-    return _matrix_from_polys(columns, polys)
+            columns.extend((p, q) + shift for shift in shifts)
+            groups.append((base, shifts))
+    return _matrix_from_shifts(columns, groups)
 
 
 def verify_rx_sx_proposition(surf: SurfacePair, m: int,
@@ -184,13 +188,11 @@ def vanishing_lemma_check(p: ExactPoly, q: ExactPoly, amax: int,
     if not transversality.passed:
         raise GenericityGateError("transversality precondition not certified")
     truncation = dp + dq - 1 + degree_margin
-    polys: list[ExactPoly] = []
-    for poly, deg in ((p, dp), (q, dq)):
-        for (h, i) in monomials_upto(truncation - deg):
-            polys.append(poly.shift((h, i)))
-    matrix = _matrix_from_polys(list(range(len(polys))), polys)
+    groups = [(poly, list(monomials_upto(truncation - deg))) for poly, deg in ((p, dp), (q, dq))]
+    ncols = sum(len(shifts) for _, shifts in groups)
+    matrix = _matrix_from_shifts(list(range(ncols)), groups)
     high_rows = [row for e, row in zip(matrix.rows, matrix.row_entries) if sum(e) > amax]
-    return matrix.rank() == linalg.rank(high_rows, len(polys))
+    return matrix.rank() == linalg.rank(high_rows, ncols)
 
 
 def triangular_reduction_check(surf: SurfacePair, m: int,

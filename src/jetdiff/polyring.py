@@ -1,28 +1,30 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent tuples (one non-negative integer per
-variable of a fixed, ordered variable set) to nonzero Fraction coefficients.
-The empty map is the zero polynomial.  Every operation returns canonical
-form (no zero coefficients are ever stored), so ``==`` on the term maps is
-polynomial identity and every downstream certificate in this package is a
-bit-exact comparison.
+A polynomial over a fixed, ordered variable set is stored as integer
+numerators over one shared denominator: ``num`` maps exponent tuples (one
+non-negative integer per variable) to nonzero ints, and ``den`` is a
+positive int coprime to the content of ``num``.  The empty map over 1 is
+the zero polynomial.  Every operation returns this canonical form, so
+``==`` on (num, den) is polynomial identity and every downstream
+certificate in this package is a bit-exact comparison.  ``terms`` is a
+read-only view that builds the Fraction coefficient of each monomial on
+demand; it is never stored.
 
 No floating point is used anywhere.  The total degree of the zero
 polynomial is the dedicated sentinel ``NEG_INF``, which compares below
 every integer and is never conflated with 0 or -1.
 
-Fraction appears only at the boundary; the three hot inner loops run on
-Python ints.  Multiplication clears each operand to integer numerators over
-the lcm of its denominators and packs every exponent tuple into one int,
-giving each variable a bit field of width
-``(maxexp_a + maxexp_b).bit_length() + 1`` computed per call from the two
-operands' largest exponents in that variable, so no field can overflow.
-The univariate gcd runs a primitive remainder sequence on integer
-coefficient lists and divides by the leading coefficient once at the end.
-The resultant clears denominators, runs the subresultant remainder
-sequence over Z[t] on integer coefficient lists and divides by the
-scaling factor once at the end.  Each output coefficient is converted back
-to Fraction exactly once.
+Arithmetic runs on Python ints.  A sum brings both operands over the lcm
+of their denominators; a product multiplies the numerators and the
+denominators.  Both then divide out the content, which costs nothing when
+the denominator is 1, as it is for integer surfaces.  Multiplication packs
+every exponent tuple into one int, giving each variable a bit field of
+width ``(maxexp_a + maxexp_b).bit_length() + 1`` computed per call from
+the two operands' largest exponents in that variable, so no field can
+overflow.  The univariate gcd runs a primitive remainder sequence on the
+integer numerators.  The resultant runs the subresultant remainder
+sequence over Z[t] on the integer numerators and divides by the scaling
+factor once at the end.
 
 Term order is graded lexicographic with respect to the variable order fixed
 by the VarSet at creation; printing lists terms in descending graded-lex
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class _NegInfinity:
@@ -127,75 +130,111 @@ def _grlex_key(exps: Exponents):
 class ExactPoly:
     """A sparse polynomial with exact rational coefficients over a VarSet.
 
-    Instances are immutable by convention: the term map is never mutated
-    after construction and all operations build fresh polynomials.
+    The polynomial is num / den: ``num`` maps exponent tuples to nonzero
+    integer numerators and ``den`` is one positive denominator with
+    gcd(den, *num.values()) == 1.  That form is canonical, so ``==``
+    compares it structurally.  Instances are immutable by convention: num
+    is never mutated after construction and all operations build fresh
+    polynomials.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars: VarSet, terms: Mapping[Exponents, Fraction | int] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Fraction | int] = {}
         n = len(vars)
         if terms:
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
                 if coeff == 0:
                     continue
                 exps = tuple(exps)
                 if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for {vars!r}")
                 clean[exps] = coeff
+        # over the lcm of the denominators the content is already 1
+        den = lcm(*[c.denominator for c in clean.values()])
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "num", {e: c.numerator * (den // c.denominator)
+                                         for e, c in clean.items()})
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("ExactPoly is immutable")
+
+    @classmethod
+    def _from_ints(cls, vars: VarSet, num: dict[Exponents, int], den: int) -> "ExactPoly":
+        """num / den with the content divided out; num holds no zeros and den > 0."""
+        if den != 1:
+            content = gcd(den, *num.values())
+            if content != 1:
+                num = {e: c // content for e, c in num.items()}
+                den //= content
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", vars)
+        object.__setattr__(poly, "num", num)
+        object.__setattr__(poly, "den", den)
+        return poly
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The coefficients as Fractions, in a new dict built on every read."""
+        den = self.den
+        if den == 1:
+            return {e: Fraction(c) for e, c in self.num.items()}
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
+    def coefficients(self) -> dict[Exponents, int | Fraction]:
+        """The coefficients as exact rationals in a new dict: the integer
+        numerators themselves when den is 1, else the Fractions of `terms`."""
+        return dict(self.num) if self.den == 1 else self.terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, vars: VarSet) -> "ExactPoly":
-        return cls(vars)
+        return cls._from_ints(vars, {}, 1)
 
     @classmethod
     def const(cls, vars: VarSet, value: Fraction | int) -> "ExactPoly":
-        return cls(vars, {(0,) * len(vars): Fraction(value)})
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     def variable(cls, vars: VarSet, name: str) -> "ExactPoly":
         exps = [0] * len(vars)
         exps[vars.index(name)] = 1
-        return cls(vars, {tuple(exps): Fraction(1)})
+        return cls._from_ints(vars, {tuple(exps): 1}, 1)
 
     @classmethod
     def monomial(cls, vars: VarSet, exps: Exponents, coeff: Fraction | int = 1) -> "ExactPoly":
-        return cls(vars, {tuple(exps): Fraction(coeff)})
+        return cls(vars, {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.coefficient((0,) * len(self.vars))
 
     def total_degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     def used_variables(self) -> tuple[str, ...]:
         """Names of variables appearing with positive exponent."""
         used = [False] * len(self.vars)
-        for exps in self.terms:
+        for exps in self.num:
             for i, e in enumerate(exps):
                 if e:
                     used[i] = True
@@ -207,16 +246,16 @@ class ExactPoly:
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
         """The graded-lex leading term of a nonzero polynomial."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.num, key=_grlex_key)
+        return exps, Fraction(self.num[exps], self.den)
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.sorted_terms())
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- ring operations ---------------------------------------------------
 
@@ -227,36 +266,43 @@ class ExactPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.num == other.num
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return ExactPoly._from_ints(self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
+        # copy the larger operand, loop over the smaller one
+        a, b = (self, other) if len(self.num) >= len(other.num) else (other, self)
+        if a.den == b.den:
+            den, out, b_num = a.den, dict(a.num), b.num.items()
+        else:
+            g = gcd(a.den, b.den)
+            to_a, to_b = b.den // g, a.den // g
+            den = a.den * to_a
+            out = {e: c * to_a for e, c in a.num.items()}
+            b_num = [(e, c * to_b) for e, c in b.num.items()]
+        get = out.get
+        for exps, coeff in b_num:
+            acc = get(exps, 0) + coeff
             if acc:
                 out[exps] = acc
             else:
-                out.pop(exps, None)
-        result = ExactPoly.zero(self.vars)
-        object.__setattr__(result, "terms", out)
-        return result
+                del out[exps]
+        return ExactPoly._from_ints(self.vars, out, den)
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return self + (-other)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         self._check_same_vars(other)
-        result = ExactPoly.zero(self.vars)
-        if not self.terms or not other.terms:
-            return result
-        if len(self.terms) > len(other.terms):
-            a, b = other.terms, self.terms
+        if not self.num or not other.num:
+            return ExactPoly.zero(self.vars)
+        if len(self.num) > len(other.num):
+            a, b = other.num, self.num
         else:
-            a, b = self.terms, other.terms
+            a, b = self.num, other.num
         # one bit field per variable, wide enough for the largest exponent
         # the product can reach in it plus a spare bit, so no field overflows
         fields = []
@@ -265,25 +311,28 @@ class ExactPoly:
             width = (top_a + top_b).bit_length() + 1
             fields.append((shift, (1 << width) - 1))
             shift += width
-        packed_a, den_a = _packed_integer_terms(a, fields)
-        packed_b, den_b = _packed_integer_terms(b, fields)
+        # the packed monomial of exps is sum(exps[v] << shift_v)
+        weights = [1 << s for s, _ in fields]
+        packed_b = [(sum(map(mul, exps, weights)), num) for exps, num in b.items()]
         acc: dict[int, int] = {}
         get = acc.get
-        for key_a, num_a in packed_a:
+        for exps, num_a in a.items():
+            key_a = sum(map(mul, exps, weights))
             for key_b, num_b in packed_b:
                 key = key_a + key_b
                 acc[key] = get(key, 0) + num_a * num_b
-        den = den_a * den_b
-        object.__setattr__(result, "terms", {
-            tuple([(key >> s) & mask for s, mask in fields]): Fraction(num, den)
-            for key, num in acc.items() if num})
-        return result
+        return ExactPoly._from_ints(self.vars, {
+            tuple([(key >> s) & mask for s, mask in fields]): num
+            for key, num in acc.items() if num}, self.den * other.den)
 
     def scale(self, value: Fraction | int) -> "ExactPoly":
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"scale factor {value!r} is not an int or a Fraction")
         if value == 0:
             return ExactPoly.zero(self.vars)
-        return ExactPoly(self.vars, {e: c * value for e, c in self.terms.items()})
+        factor = value.numerator
+        return ExactPoly._from_ints(self.vars, {e: c * factor for e, c in self.num.items()},
+                                    self.den * value.denominator)
 
     def __pow__(self, k: int) -> "ExactPoly":
         if not isinstance(k, int) or k < 0:
@@ -303,73 +352,69 @@ class ExactPoly:
         exps = tuple(exps)
         if len(exps) != len(self.vars) or any(e < 0 or not isinstance(e, int) for e in exps):
             raise ValueError(f"bad shift exponents {exps}")
-        result = ExactPoly.zero(self.vars)
-        object.__setattr__(result, "terms", {tuple(a + b for a, b in zip(e, exps)): c
-                                             for e, c in self.terms.items()})
-        return result
+        return ExactPoly._from_ints(self.vars, {tuple(map(add, e, exps)): c
+                                                for e, c in self.num.items()}, self.den)
+
+    def map_exponents(self, vars: VarSet,
+                      image: Callable[[Exponents], Exponents]) -> "ExactPoly":
+        """The polynomial over vars with every monomial e of self replaced by image(e).
+
+        image must return exponent tuples of vars and be one-to-one on the
+        monomials of self (ValueError otherwise), so no two terms merge.
+        """
+        num = {image(e): c for e, c in self.num.items()}
+        if len(num) != len(self.num):
+            raise ValueError("exponent map merges two monomials")
+        return ExactPoly._from_ints(vars, num, self.den)
 
     def extend_to(self, vars: VarSet) -> "ExactPoly":
         """Re-express over a larger VarSet containing all used variables by name."""
         if vars == self.vars:
             return self
         positions = []
-        for i, name in enumerate(self.vars.names):
-            if name in vars:
-                positions.append((i, vars.index(name)))
-            else:
-                positions.append((i, None))
-        out: dict[Exponents, Fraction] = {}
+        for name in self.used_variables():
+            if name not in vars:
+                raise ValueError(f"variable {name!r} missing from {vars!r}")
+            positions.append((self.vars.index(name), vars.index(name)))
         n = len(vars)
-        for exps, coeff in self.terms.items():
+
+        def image(exps: Exponents) -> Exponents:
             new = [0] * n
             for i, j in positions:
-                if exps[i] == 0:
-                    continue
-                if j is None:
-                    raise ValueError(f"variable {self.vars.names[i]!r} missing from {vars!r}")
                 new[j] = exps[i]
-            out[tuple(new)] = coeff
-        return ExactPoly(vars, out)
+            return tuple(new)
+
+        return self.map_exponents(vars, image)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
+        names, num, den = self.vars.names, self.num, self.den
         pieces = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.vars.names, exps) if e
-            )
+        for exps in sorted(num, key=_grlex_key, reverse=True):
+            mono = "*".join([name if e == 1 else f"{name}^{e}"
+                             for name, e in zip(names, exps) if e])
+            size = abs(num[exps])
+            if den == 1:
+                coeff = str(size)
+            else:
+                g = gcd(size, den)
+                coeff = str(size // g) if g == den else f"{size // g}/{den // g}"
             if not mono:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
+                body = coeff
+            elif size == den:
                 body = mono
             else:
-                body = f"{abs(coeff)}*{mono}"
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+                body = f"{coeff}*{mono}"
+            pieces.append(f"- {body}" if num[exps] < 0 else f"+ {body}")
+        # "+ a - b" becomes "a - b" and "- a + b" becomes "-a + b"
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"ExactPoly({self})"
-
-
-def _packed_integer_terms(terms: Mapping[Exponents, Fraction],
-                          fields: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
-    """Terms as (packed monomial, integer numerator) pairs over their common denominator."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    packed = []
-    for exps, coeff in terms.items():
-        key = 0
-        for e, (s, _) in zip(exps, fields):
-            key |= e << s
-        packed.append((key, coeff.numerator * (den // coeff.denominator)))
-    return packed, den
 
 
 # -- parsing ---------------------------------------------------------------
@@ -414,6 +459,14 @@ MAX_NESTING = 100  # parenthesis depth; deeper input would exhaust the Python st
 # growing like k^4, about 0.7 s at k = 100.  A single term raised to a power
 # or multiplied only adds exponents, so printed monomials of any degree parse.
 MAX_DEGREE = 100
+# bit length of any integer the parser reads or builds: a literal, an
+# exponent, a numerator or the shared denominator.  The largest integer in
+# the benchmark's seed-1 reports has 20 bits; 4096 bits (1234 digits) also
+# stays below the 4300-digit limit of int() on a string.  Products and
+# powers are refused on a bound before they are computed, so 2^10000000
+# costs nothing.
+MAX_COEFF_BITS = 4096
+_MAX_DIGITS = len(str(1 << MAX_COEFF_BITS))
 
 
 class _Parser:
@@ -447,6 +500,7 @@ class _Parser:
         return result
 
     def expr(self) -> ExactPoly:
+        start = self.peek()[2]
         negate = False
         if self.peek()[0] in "+-":
             negate = self.advance()[0] == "-"
@@ -454,9 +508,12 @@ class _Parser:
         if negate:
             result = -result
         while self.peek()[0] in "+-":
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             rhs = self.term()
             result = result - rhs if op == "-" else result + rhs
+            # the shared denominator can grow with every summand
+            _check_bits(result.den.bit_length(), pos)
+        _check_bits(max(map(abs, result.num.values()), default=0).bit_length(), start)
         return result
 
     def term(self) -> ExactPoly:
@@ -464,8 +521,9 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             rhs = self.factor()
-            if len(result.terms) > 1 and len(rhs.terms) > 1:
+            if len(result.num) > 1 and len(rhs.num) > 1:
                 _check_degree(result.total_degree() + rhs.total_degree(), pos)
+            _check_bits(_size_bits(result) + _size_bits(rhs) + 1, pos)
             result = result * rhs
         return result
 
@@ -474,9 +532,10 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("num")
-            exponent = int(tok[1])
-            if len(base.terms) > 1:
+            exponent = _literal(tok)
+            if len(base.num) > 1:
                 _check_degree(base.total_degree() * exponent, tok[2])
+            _check_bits(exponent * _size_bits(base) + 1, tok[2])
             base = base ** exponent
         return base
 
@@ -488,11 +547,11 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return ExactPoly.variable(self.vars, value)
         if kind == "num":
-            numerator = int(value)
+            numerator = _literal(tok)
             if self.peek()[0] == "/":
                 self.advance()
                 den_tok = self.expect("num")
-                denominator = int(den_tok[1])
+                denominator = _literal(den_tok)
                 if denominator == 0:
                     raise ParseError("zero denominator", den_tok[2])
                 return ExactPoly.const(self.vars, Fraction(numerator, denominator))
@@ -512,6 +571,29 @@ def _check_degree(degree: int, pos: int) -> None:
     """Refuse to expand a power or product of total degree above MAX_DEGREE."""
     if degree > MAX_DEGREE:
         raise ParseError(f"total degree {degree} exceeds {MAX_DEGREE}", pos)
+
+
+def _literal(tok: tuple[str, str, int]) -> int:
+    """The value of a number token; its length is checked before int() reads it."""
+    digits = tok[1].lstrip("0") or "0"
+    if len(digits) > _MAX_DIGITS or int(digits).bit_length() > MAX_COEFF_BITS:
+        raise ParseError(f"number literal exceeds {MAX_COEFF_BITS} bits", tok[2])
+    return int(digits)
+
+
+def _size_bits(p: ExactPoly) -> int:
+    """ceil(log2) of the larger of den and the sum of the |numerators|.
+
+    No integer of p**k has more than k * _size_bits(p) + 1 bits, and none of
+    p * q more than _size_bits(p) + _size_bits(q) + 1.
+    """
+    return max((sum(map(abs, p.num.values())) - 1).bit_length(), (p.den - 1).bit_length())
+
+
+def _check_bits(bits: int, pos: int) -> None:
+    """Refuse a polynomial whose integers may exceed MAX_COEFF_BITS."""
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"coefficients of up to {bits} bits exceed {MAX_COEFF_BITS}", pos)
 
 
 def poly_parse(text: str, vars: VarSet) -> ExactPoly:
@@ -536,15 +618,15 @@ class PowerCache:
 def poly_diff(p: ExactPoly, name: str) -> ExactPoly:
     """Formal partial derivative with respect to one variable."""
     i = p.vars.index(name)
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms.items():
+    out: dict[Exponents, int] = {}
+    for exps, coeff in p.num.items():
         e = exps[i]
         if e == 0:
             continue
         new = list(exps)
         new[i] = e - 1
         out[tuple(new)] = coeff * e
-    return ExactPoly(p.vars, out)
+    return ExactPoly._from_ints(p.vars, out, p.den)
 
 
 def poly_substitute(p: ExactPoly, bindings: Mapping[str, ExactPoly]) -> ExactPoly:
@@ -571,9 +653,11 @@ def poly_substitute(p: ExactPoly, bindings: Mapping[str, ExactPoly]) -> ExactPol
             raise ValueError(f"unbound variable {name!r} missing from target {target!r}")
         carried[i] = target.index(name)
 
+    # the terms of p are substituted with their integer numerators, and the
+    # sum is divided by the shared denominator once at the end
     n = len(target)
     result = ExactPoly.zero(target)
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.num.items():
         carried_exps = [0] * n
         piece = None
         for i, e in enumerate(exps):
@@ -584,9 +668,9 @@ def poly_substitute(p: ExactPoly, bindings: Mapping[str, ExactPoly]) -> ExactPol
                 piece = factor if piece is None else piece * factor
             else:
                 carried_exps[carried[i]] = e
-        mono = ExactPoly.monomial(target, tuple(carried_exps), coeff)
+        mono = ExactPoly._from_ints(target, {tuple(carried_exps): coeff}, 1)
         result = result + (mono if piece is None else mono * piece)
-    return result
+    return result if p.den == 1 else result.scale(Fraction(1, p.den))
 
 
 def monomial_quotient(p: ExactPoly, name: str, k: int) -> tuple[ExactPoly, bool]:
@@ -600,16 +684,16 @@ def monomial_quotient(p: ExactPoly, name: str, k: int) -> tuple[ExactPoly, bool]
     if k < 0:
         raise ValueError("power must be non-negative")
     i = p.vars.index(name)
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, int] = {}
     exact = True
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.num.items():
         if exps[i] < k:
             exact = False
             continue
         new = list(exps)
         new[i] -= k
         out[tuple(new)] = coeff
-    return ExactPoly(p.vars, out), exact
+    return ExactPoly._from_ints(p.vars, out, p.den), exact
 
 
 # -- exact division and univariate views ------------------------------------
@@ -645,27 +729,29 @@ def univariate_coeffs(p: ExactPoly, name: str) -> list[ExactPoly]:
     if p.is_zero():
         return []
     i = p.vars.index(name)
-    deg = max(e[i] for e in p.terms)
-    buckets: list[dict[Exponents, Fraction]] = [{} for _ in range(deg + 1)]
-    for exps, coeff in p.terms.items():
+    deg = max(e[i] for e in p.num)
+    buckets: list[dict[Exponents, int]] = [{} for _ in range(deg + 1)]
+    for exps, coeff in p.num.items():
         new = list(exps)
         k = new[i]
         new[i] = 0
         buckets[k][tuple(new)] = coeff
-    return [ExactPoly(p.vars, b) for b in buckets]
+    return [ExactPoly._from_ints(p.vars, b, p.den) for b in buckets]
 
 
-def from_univariate_coeffs(coeffs: list[ExactPoly], vars: VarSet, name: str) -> ExactPoly:
-    """Inverse of univariate_coeffs."""
-    i = vars.index(name)
-    result = ExactPoly.zero(vars)
+def _from_dense(vars: VarSet, i: int | None, coeffs: list[int], den: int) -> ExactPoly:
+    """sum(coeffs[k] * v**k) / den for the variable v of index i; den > 0.
+
+    With i None, coeffs holds at most one nonzero entry, the constant.
+    """
+    exps = [0] * len(vars)
+    num = {}
     for k, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        exps = [0] * len(vars)
-        exps[i] = k
-        result = result + c * ExactPoly.monomial(vars, tuple(exps))
-    return result
+        if c:
+            if i is not None:
+                exps[i] = k
+            num[tuple(exps)] = c
+    return ExactPoly._from_ints(vars, num, den)
 
 
 def _effective_variable(*polys: ExactPoly) -> str | None:
@@ -807,18 +893,17 @@ def _integer_resultant(f: list[list[int]], g: list[list[int]]) -> list[int]:
     return _zneg(last_scalar) if negate else last_scalar
 
 
-def _integer_coeffs(p: ExactPoly, i: int, j: int | None) -> tuple[list[list[int]], int]:
-    """p times the lcm of its denominators, as a polynomial in variable i over Z[t],
-    where t is variable j (None when p uses no variable other than i)."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    coeffs: list[list[int]] = [[] for _ in range(max(e[i] for e in p.terms) + 1)]
-    for exps, coeff in p.terms.items():
+def _integer_coeffs(p: ExactPoly, i: int, j: int | None) -> list[list[int]]:
+    """The numerators of p as a polynomial in variable i over Z[t], where t is
+    variable j (None when p uses no variable other than i)."""
+    coeffs: list[list[int]] = [[] for _ in range(max(e[i] for e in p.num) + 1)]
+    for exps, coeff in p.num.items():
         row = coeffs[exps[i]]
         k = 0 if j is None else exps[j]
         if len(row) <= k:
             row.extend([0] * (k + 1 - len(row)))
-        row[k] = coeff.numerator * (den // coeff.denominator)
-    return coeffs, den
+        row[k] = coeff
+    return coeffs
 
 
 def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
@@ -827,11 +912,11 @@ def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
     Convention: Res(p, q) = lc(p)**deg(q) * prod q(roots of p); it is zero
     exactly when p and q share a factor of positive degree in the eliminated
     variable.  Apart from ``name``, p and q together may use at most one
-    variable t of their VarSet; ValueError otherwise.  Each input is scaled
-    by the lcm dp, dq of its denominators and the PRS of Collins and Brown
-    runs on integer coefficient lists in Z[t], every division checked exact.
-    The result is divided once by dp**deg(q) * dq**deg(p), the factor by
-    which the scaling multiplies the resultant.
+    variable t of their VarSet; ValueError otherwise.  The PRS of Collins
+    and Brown runs on the integer numerators of p and q as lists in Z[t],
+    every division checked exact.  The result is divided once by
+    dp**deg(q) * dq**deg(p), where dp and dq are the shared denominators of
+    p and q: the factor by which clearing them multiplies the resultant.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial is undefined")
@@ -843,20 +928,10 @@ def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
         raise ValueError(f"resultant supports one variable besides {name!r}, "
                          f"found {sorted(others)}")
     j = vars.index(others.pop()) if others else None
-    f, dp = _integer_coeffs(p, i, j)
-    g, dq = _integer_coeffs(q, i, j)
+    f = _integer_coeffs(p, i, j)
+    g = _integer_coeffs(q, i, j)
     res = _integer_resultant(f, g)
-    den = dp ** (len(g) - 1) * dq ** (len(f) - 1)
-    exps = [0] * len(vars)
-    terms = {}
-    for k, c in enumerate(res):
-        if c:
-            if j is not None:
-                exps[j] = k
-            terms[tuple(exps)] = Fraction(c, den)
-    result = ExactPoly.zero(vars)
-    object.__setattr__(result, "terms", terms)
-    return result
+    return _from_dense(vars, j, res, p.den ** (len(g) - 1) * q.den ** (len(f) - 1))
 
 
 def sylvester_resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
@@ -916,16 +991,14 @@ def _primitive_coeffs(p: ExactPoly, name: str | None) -> list[int]:
     """Primitive integer coefficient list (index = degree) of a univariate p; [] for zero."""
     if p.is_zero():
         return []
-    if name is None:
-        coeffs = [p.constant_value()]
-    else:
-        coeffs = []
-        for c in univariate_coeffs(p, name):
-            if not c.is_constant():
-                raise ValueError("polynomial is not univariate")
-            coeffs.append(c.constant_value())
-    den = lcm(*[c.denominator for c in coeffs])
-    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    i = None if name is None else p.vars.index(name)
+    coeffs = [0] * (1 if i is None else max(e[i] for e in p.num) + 1)
+    for exps, coeff in p.num.items():
+        k = 0 if i is None else exps[i]
+        if sum(exps) != k:
+            raise ValueError("polynomial is not univariate")
+        coeffs[k] = coeff
+    return _primitive(coeffs)
 
 
 def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
@@ -960,11 +1033,10 @@ def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     b = _primitive_coeffs(q, name)
     while b:
         a, b = b, _primitive_prem(a, b)
-    monic = [Fraction(c, a[-1]) for c in a]
-    if name is None:
-        return ExactPoly.const(p.vars, monic[-1])
-    return from_univariate_coeffs(
-        [ExactPoly.const(p.vars, c) for c in monic], p.vars, name)
+    # a is primitive, so a / a[-1] is canonical once a[-1] is positive
+    if a[-1] < 0:
+        a = [-c for c in a]
+    return _from_dense(p.vars, None if name is None else p.vars.index(name), a, a[-1])
 
 
 def squarefree_univariate(p: ExactPoly) -> bool:

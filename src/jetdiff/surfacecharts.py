@@ -71,16 +71,12 @@ def restrict_to_surface(field: CoefficientField, surf: SurfacePair,
 
 def _chart_polynomial(p: ExactPoly, degree: int, chart: str) -> ExactPoly:
     """x1^degree * p(1/x1, y1/x1) for inv_x, y1^degree * p(x1/y1, 1/y1) for inv_y."""
-    out: dict[tuple, Fraction] = {}
-    for (a, b), coeff in p.terms.items():
-        if a + b > degree:
-            raise ValueError(f"degree {degree} too small for monomial x^{a}*y^{b}")
-        if chart == INV_X:
-            exps = (degree - a - b, b, 0, 0)
-        else:
-            exps = (a, degree - a - b, 0, 0)
-        out[exps] = out.get(exps, Fraction(0)) + coeff
-    return ExactPoly(CHART_VARS, out)
+    if p.total_degree() > degree:
+        raise ValueError(f"degree {degree} too small for a polynomial of degree "
+                         f"{p.total_degree()}")
+    if chart == INV_X:
+        return p.map_exponents(CHART_VARS, lambda e: (degree - e[0] - e[1], e[1], 0, 0))
+    return p.map_exponents(CHART_VARS, lambda e: (e[0], degree - e[0] - e[1], 0, 0))
 
 
 def _chart_jet_images(chart: str) -> tuple[ExactPoly, ExactPoly]:
@@ -112,13 +108,15 @@ def verify_derivative_transfer(r: ExactPoly, d: int, chart: str) -> bool:
     xp_img, yp_img = _chart_jet_images(chart)
     w = (ExactPoly.variable(JET_VARS, "x'") * poly_diff(r, "x").extend_to(JET_VARS)
          + ExactPoly.variable(JET_VARS, "y'") * poly_diff(r, "y").extend_to(JET_VARS))
+    # summed over the integer numerators of w, then divided by its denominator
     lhs = ExactPoly.zero(CHART_VARS)
-    for (a, b, cx, cy), coeff in w.terms.items():
+    for (a, b, cx, cy), coeff in w.num.items():
         if chart == INV_X:
             base = ExactPoly.monomial(CHART_VARS, (d - 1 - a - b, b, 0, 0), coeff)
         else:
             base = ExactPoly.monomial(CHART_VARS, (a, d - 1 - a - b, 0, 0), coeff)
         lhs = lhs + base * xp_img ** cx * yp_img ** cy
+    lhs = lhs.scale(Fraction(1, w.den))
     r1 = _chart_polynomial(r, d, chart)
     u = ExactPoly.variable(CHART_VARS, "x1" if chart == INV_X else "y1")
     u_prime = ExactPoly.variable(CHART_VARS, "x1'" if chart == INV_X else "y1'")
@@ -220,7 +218,7 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
     # (a - h - i) + (p + q) because j+k+p+q = m: the first part is the chart
     # polynomial of A at degree a, the second rides on the R' and S' slots.
     residual_min = min((a - (h + i) + 2 * m - (2 * j + 2 * k + p + q)
-                        for (j, k, p, q), a_poly in field.items() for (h, i) in a_poly.terms),
+                        for (j, k, p, q), a_poly in field.items() for (h, i) in a_poly.num),
                        default=0)
     ctx = JetContext(surf, (xp_img, yp_img, r1, u * bp, s1, u * bq))
     transferred = ctx.realize(field, lambda a_poly: _chart_polynomial(a_poly, a, chart))
@@ -229,13 +227,15 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
     # u^(a+dm+em+2m) * Phi(J) must reproduce the transferred polynomial
     jet = build_jet(field, surf, spec)
     clearing = a + d * m + e * m
+    # summed over the integer numerators of J, then divided by its denominator
     direct = ExactPoly.zero(CHART_VARS)
-    for (ex, ey, cx, cy), coeff in jet.terms.items():
+    for (ex, ey, cx, cy), coeff in jet.num.items():
         if chart == INV_X:
             base = ExactPoly.monomial(CHART_VARS, (clearing - ex - ey, ey, 0, 0), coeff)
         else:
             base = ExactPoly.monomial(CHART_VARS, (ex, clearing - ex - ey, 0, 0), coeff)
         direct = direct + base * ctx.xp_pow[cx] * ctx.yp_pow[cy]
+    direct = direct.scale(Fraction(1, jet.den))
 
     identity_ok = (direct == transferred)
     return TransferResult(
@@ -270,7 +270,4 @@ def homogenize_surface_and_check(surf: SurfacePair) -> bool:
 
 def _homogenize_xy(p: ExactPoly, degree: int) -> ExactPoly:
     """U^degree * p(X/U, Y/U) as a polynomial in (U, X, Y, Z, T)."""
-    out = {}
-    for (a, b), coeff in p.terms.items():
-        out[(degree - a - b, a, b, 0, 0)] = coeff
-    return ExactPoly(HOMOGENEOUS_VARS, out)
+    return p.map_exponents(HOMOGENEOUS_VARS, lambda e: (degree - e[0] - e[1], e[0], e[1], 0, 0))

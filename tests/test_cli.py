@@ -88,6 +88,20 @@ class TestAudit:
         assert code == 3 and "degree 400" in body["error"]
         assert time.monotonic() - start < 10
 
+    @pytest.mark.parametrize("expression,message", [
+        # int() refuses a string of more than 4300 digits with a ValueError
+        ("7" * 5000 + "*x^2", "number literal exceeds"),
+        # computing this constant takes no expansion but 10 million bits
+        ("2^10000000*x", "bits exceed"),
+    ])
+    def test_huge_number_is_an_input_error(self, capsys, tmp_path, expression, message):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"R = {expression} + y^2 + 1\nS = x^2 + y^2 - 1\n")
+        start = time.monotonic()
+        code, body = run_cli(capsys, ["audit", "--surface", str(path)])
+        assert code == 3 and message in body["error"]
+        assert time.monotonic() - start < 5
+
     def test_determinism(self, capsys, generic_surface_file):
         main(["audit", "--surface", generic_surface_file])
         first = capsys.readouterr().out

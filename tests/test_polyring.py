@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jetdiff.jetbuilder import JET_VARS, XY
 from jetdiff.polyring import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     NEG_INF,
@@ -21,6 +24,7 @@ from jetdiff.polyring import (
     resultant,
     squarefree_univariate,
     sylvester_resultant,
+    univariate_coeffs,
 )
 from conftest import random_poly
 
@@ -29,6 +33,8 @@ Y = ExactPoly.variable(XY, "y")
 ONE = ExactPoly.const(XY, 1)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+ODD_PRIMES = [p for p in range(3, 1000, 2) if all(p % d for d in range(3, p, 2))]
 
 
 def reference_mul(p, q):
@@ -43,6 +49,18 @@ def reference_mul(p, q):
             else:
                 out.pop(exps, None)
     return ExactPoly(p.vars, out)
+
+
+def fraction_sum(a, b, sign=1):
+    """Term map of a + sign * b, for term maps a, b, by the Fraction-coefficient loop."""
+    out = {exps: coeff for exps, coeff in a.items() if coeff}
+    for exps, coeff in b.items():
+        acc = out.get(exps, Fraction(0)) + sign * coeff
+        if acc:
+            out[exps] = acc
+        else:
+            out.pop(exps, None)
+    return out
 
 
 def reference_gcd(p, q, name):
@@ -82,10 +100,13 @@ def rationals(max_den=12):
 EXPONENTS = st.integers(0, 9) | st.sampled_from([15, 16, 17, 31, 32, 33, 63, 64])
 
 
+def term_maps(vars, max_terms=8, exponents=EXPONENTS):
+    keys = st.tuples(*[exponents] * len(vars))
+    return st.dictionaries(keys, rationals(), max_size=max_terms)
+
+
 def polys(vars, max_terms=8):
-    keys = st.tuples(*[EXPONENTS] * len(vars))
-    return st.dictionaries(keys, rationals(), max_size=max_terms).map(
-        lambda terms: ExactPoly(vars, terms))
+    return term_maps(vars, max_terms).map(lambda terms: ExactPoly(vars, terms))
 
 
 # nonzero bivariate polynomials of degree at most 3 in x and 7 in y; at most
@@ -166,6 +187,30 @@ class TestParsing:
             with pytest.raises(ParseError, match="exceeds"):
                 poly_parse(text, XY)
 
+    def test_number_size_capped(self):
+        at_cap = poly_parse(f"2^{MAX_COEFF_BITS - 1}*x", XY)
+        assert at_cap.coefficient((1, 0)) == 2 ** (MAX_COEFF_BITS - 1)
+        # its printed literal has MAX_COEFF_BITS bits and parses back
+        assert poly_parse(str(at_cap), XY) == at_cap
+        over = ["7" * 5000,                                   # int() refuses 5000 digits
+                "x^" + "9" * 5000,
+                "0" * 5000 + "1/" + "3" * 2000,
+                f"2^{MAX_COEFF_BITS}",
+                "2^10000000*x",
+                f"2^{MAX_COEFF_BITS - 1} + 2^{MAX_COEFF_BITS - 1}",
+                # refused on a bound before they are computed: computed, each
+                # would take seconds (a power of 2 multiplies faster)
+                "3^100000000*x",
+                "(3^2000*x + 1)^100",
+                "*".join(["3^2000"] * 500),
+                # the shared denominator grows with every summand
+                " + ".join(f"1/{p}^{4000 // p.bit_length()}" for p in ODD_PRIMES)]
+        for text in over:
+            start = time.monotonic()
+            with pytest.raises(ParseError, match="bits"):
+                poly_parse(text, XY)
+            assert time.monotonic() - start < 1
+
     def test_primed_identifiers(self):
         jet = VarSet(("x", "x'"))
         p = poly_parse("3*x'^2 - x", jet)
@@ -237,6 +282,123 @@ class TestRingOps:
         other = VarSet(("x", "z"))
         with pytest.raises(ValueError):
             X + ExactPoly.variable(other, "z")
+
+
+def assert_canonical(p):
+    """Integer numerators, none zero, over a positive denominator coprime to their content."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    assert all(len(e) == len(p.vars) and all(type(x) is int and x >= 0 for x in e)
+               for e in p.num)
+
+
+# term maps of degree at most 3 in x and in y, so powers and substitutions stay small
+SMALL = term_maps(XY, max_terms=5, exponents=st.integers(0, 3))
+
+
+class TestRepresentation:
+    @PROPERTY
+    @given(SMALL, SMALL, rationals(), st.integers(0, 3))
+    def test_every_operation_returns_canonical_form(self, a, b, value, k):
+        p, q = ExactPoly(XY, a), ExactPoly(XY, b)
+        results = [p, p + q, p - q, -p, p.scale(value), p * q, p ** k, p.shift((k, 1)),
+                   p.extend_to(JET_VARS), poly_diff(p, "x"), poly_diff(p, "y"),
+                   monomial_quotient(p, "y", k)[0], poly_substitute(p, {"x": q, "y": p}),
+                   *univariate_coeffs(p, "y")]
+        if not p.is_zero() and not q.is_zero():
+            results.append(resultant(p, q, "y"))
+        for r in results:
+            assert_canonical(r)
+        for exps in list(a) + [(0, 0)]:
+            assert p.coefficient(exps) == a.get(exps, 0)
+            assert type(p.coefficient(exps)) is Fraction
+        assert p.constant_value() == a.get((0, 0), 0)
+        if a and any(a.values()):
+            lead = max((e for e, c in a.items() if c), key=lambda e: (sum(e), e))
+            assert p.leading_term() == (lead, a[lead])
+
+    @PROPERTY
+    @given(univariate("x"), univariate("x"))
+    def test_gcd_returns_canonical_form(self, p, q):
+        assert_canonical(gcd_univariate(p, q))
+
+    @PROPERTY
+    @given(term_maps(XY), term_maps(XY))
+    def test_sum_and_difference_match_fraction_oracle(self, a, b):
+        p, q = ExactPoly(XY, a), ExactPoly(XY, b)
+        assert (p + q).terms == fraction_sum(a, b)
+        assert (q + p).terms == fraction_sum(a, b)
+        assert (p - q).terms == fraction_sum(a, b, -1)
+        assert (-q).terms == fraction_sum({}, b, -1)
+        assert (p * q).terms == reference_mul(p, q).terms
+
+    @PROPERTY
+    @given(term_maps(JET_VARS), rationals())
+    def test_scale_matches_fraction_oracle(self, a, value):
+        expected = {e: c * value for e, c in a.items() if c * value}
+        assert ExactPoly(JET_VARS, a).scale(value).terms == expected
+
+    def test_mixed_denominator_sums(self):
+        p = poly_parse("1/2*x + 1/3", XY)
+        q = poly_parse("1/6*x - 1/3", XY)
+        assert (p.num, p.den) == ({(1, 0): 3, (0, 0): 2}, 6)
+        total = p + q
+        assert (total.num, total.den) == ({(1, 0): 2}, 3)
+        # a content common to the numerators and the denominator is divided out
+        half = poly_parse("1/6*x + 1/6", XY) + poly_parse("1/3*x + 1/3", XY)
+        assert (half.num, half.den) == ({(1, 0): 1, (0, 0): 1}, 2)
+        zero = p - p
+        assert (zero.num, zero.den) == ({}, 1) and zero == ExactPoly.zero(XY)
+
+    @PROPERTY
+    @given(term_maps(XY))
+    def test_terms_is_a_fresh_fraction_view(self, a):
+        p = ExactPoly(XY, a)
+        expected = {e: c for e, c in a.items() if c}
+        view = p.terms
+        assert view == expected
+        assert all(type(c) is Fraction for c in view.values())
+        num, text = dict(p.num), str(p)
+        view[(99, 99)] = Fraction(1)
+        view.clear()
+        assert p.terms == expected and p.num == num and str(p) == text
+        assert p.terms is not p.terms
+
+    @PROPERTY
+    @given(term_maps(XY), st.integers(0, 10))
+    def test_monomial_quotient_matches_fraction_oracle(self, a, k):
+        quotient, exact = monomial_quotient(ExactPoly(XY, a), "y", k)
+        assert quotient.terms == {(h, i - k): c for (h, i), c in a.items() if c and i >= k}
+        assert exact == all(i >= k for (h, i), c in a.items() if c)
+
+    @PROPERTY
+    @given(term_maps(XY))
+    def test_extend_to_matches_fraction_oracle(self, a):
+        p = ExactPoly(XY, a)
+        wide = p.extend_to(JET_VARS)
+        assert wide.terms == {(h, i, 0, 0): c for (h, i), c in a.items() if c}
+        assert wide.extend_to(XY) == p
+
+    def test_extend_to_missing_variable(self):
+        with pytest.raises(ValueError, match="missing"):
+            poly_parse("x' + 1/2", JET_VARS).extend_to(XY)
+
+    @pytest.mark.parametrize("text", ["2/3*x + 1/6", "-x + 1/2", "-1/2*x^2*y + 3/4",
+                                      "x - y - 1/3", "-7/9", "4/3*x*y - x"])
+    def test_print_with_shared_denominator(self, text):
+        p = poly_parse(text, XY)
+        assert p.den != 1
+        assert str(p) == text
+
+    @pytest.mark.parametrize("coeff", [0.1, 1.0, "1/2", None, complex(1, 0)])
+    def test_inexact_coefficients_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            ExactPoly(XY, {(1, 0): coeff})
+        with pytest.raises(TypeError):
+            ExactPoly.const(XY, coeff)
+        with pytest.raises(TypeError):
+            X.scale(coeff)
 
 
 class TestDerivative:
