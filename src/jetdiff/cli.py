@@ -26,7 +26,7 @@ from .divisibility import (
 from .genericity import DEFAULT_SEED, full_genericity_audit
 from .injectivity import analyze_injectivity
 from .jetbuilder import XY, JetSpec, SurfacePair
-from .polyring import ParseError, poly_parse
+from .polyring import MAX_DEGREE, ParseError, poly_parse
 from .sampling import (
     random_coefficient_field,
     random_dense_polynomial,
@@ -264,8 +264,31 @@ def _verify_restriction_suite(args, seed: int) -> dict:
             "passed": all_ok, "runs": runs}
 
 
+def _check_verify_flags(args: argparse.Namespace) -> None:
+    """Refuse out-of-range verify flags before any sampling."""
+    d = args.d
+    e = args.e if args.e is not None else d
+    rules = [
+        (args.m >= 1, f"--m must be >= 1, got {args.m}"),
+        (1 <= d <= e <= MAX_DEGREE,
+         f"need 1 <= --d <= --e <= {MAX_DEGREE}, got d={d}, e={e}"),
+        (args.deg is None or 1 <= args.deg <= MAX_DEGREE,
+         f"need 1 <= --deg <= {MAX_DEGREE}, got {args.deg}"),
+        (args.trials >= 1, f"--trials must be >= 1, got {args.trials}"),
+        (args.surfaces >= 1, f"--surfaces must be >= 1, got {args.surfaces}"),
+        (args.a is None or args.a >= 0, f"--a must be >= 0, got {args.a}"),
+    ]
+    if args.injectivity:
+        a = args.a if args.a is not None else max(0, d - 2)
+        rules.append((a <= d - 2, f"--injectivity needs --a <= --d - 2, got a={a}, d={d}"))
+    for ok, message in rules:
+        if not ok:
+            raise CliInputError(message)
+
+
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:
     args = config.args
+    _check_verify_flags(args)
     suites = []
     if args.injectivity:
         suites.append(_verify_injectivity_suite(args, config.seed))

@@ -20,6 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import combinations
+from typing import Iterator
 
 from .jetbuilder import XY, SurfacePair
 from .polyring import (
@@ -58,10 +61,23 @@ def _shear_values(seed: int) -> list[Fraction]:
     return values
 
 
-def _top_y_coefficient(p: ExactPoly) -> Fraction:
-    """Coefficient of the pure power y^deg(p); nonzero iff the shear is valid."""
-    n = p.total_degree()
-    return p.coefficient((0, n))
+def _keeps_top_y(polys: list[ExactPoly]) -> bool:
+    """True iff every poly keeps its pure y^deg term: the shear is valid for them."""
+    return all(p.coefficient((0, p.total_degree())) != 0 for p in polys)
+
+
+def _valid_shears(polys: tuple[ExactPoly, ...], seed: int
+                  ) -> Iterator[tuple[Fraction, list[ExactPoly]]]:
+    """Each seeded shear s, with the sheared polys, under which every one stays valid."""
+    for s in _shear_values(seed):
+        sheared = [shear(p, s) for p in polys]
+        if _keeps_top_y(sheared):
+            yield s, sheared
+
+
+def _gcd_fold(polys: list[ExactPoly]) -> ExactPoly:
+    """The gcd of the nonzero polys, of which there must be at least one."""
+    return reduce(gcd_univariate, [p for p in polys if not p.is_zero()])
 
 
 @dataclass(frozen=True)
@@ -110,47 +126,35 @@ def pair_transversality_check(p: ExactPoly, q: ExactPoly,
     for poly, label in ((p, "p"), (q, "q")):
         if poly.is_zero() or poly.is_constant():
             raise ValueError(f"{label} must be a non-constant polynomial")
-    dp, dq = p.total_degree(), q.total_degree()
-    product = dp * dq
-    valid_attempts = 0
+    product = p.total_degree() * q.total_degree()
+    report = partial(IntersectionReport, degree_product=product, resultant_degree=product,
+                     squarefree=False, all_affine=True)
     last_witness = None
     last_shear = None
-    for s in _shear_values(seed):
-        ps, qs = shear(p, s), shear(q, s)
-        if _top_y_coefficient(ps) == 0 or _top_y_coefficient(qs) == 0:
-            continue
-        valid_attempts += 1
+    for s, (ps, qs) in _valid_shears((p, q), seed):
         res = resultant(ps, qs, "y")
         if res.is_zero():
-            return IntersectionReport(
-                degree_product=product, resultant_degree=-1, squarefree=False,
-                all_affine=False, shear_used=s, verdict=FAIL,
-                witness="resultant identically zero (common factor)")
+            return report(resultant_degree=-1, all_affine=False, shear_used=s, verdict=FAIL,
+                          witness="resultant identically zero (common factor)")
         rdeg = res.total_degree()
         if rdeg < product:
             # degree deficiency = intersection at the line at infinity;
             # invariant under shears with nondegenerate leading forms.
-            return IntersectionReport(
-                degree_product=product, resultant_degree=rdeg, squarefree=False,
-                all_affine=False, shear_used=s, verdict=FAIL,
-                witness=f"resultant degree {rdeg} < {product} (points at infinity)")
-        if squarefree_univariate(res):
-            return IntersectionReport(
-                degree_product=product, resultant_degree=rdeg, squarefree=True,
-                all_affine=True, shear_used=s, verdict=PASS)
-        last_witness = str(gcd_univariate(res, poly_diff(res, "x")))
+            return report(resultant_degree=rdeg, all_affine=False, shear_used=s, verdict=FAIL,
+                          witness=f"resultant degree {rdeg} < {product} (points at infinity)")
+        # res has degree product >= 1 in x, so it is squarefree iff this gcd is constant
+        g = gcd_univariate(res, poly_diff(res, "x"))
+        if g.is_constant():
+            return report(resultant_degree=rdeg, squarefree=True, shear_used=s, verdict=PASS)
+        last_witness = str(g)
         last_shear = s
-    if valid_attempts:
+    if last_witness is not None:
         # non-squarefree under every shear with good leading forms: a genuine
         # tangency or multiple point.
-        return IntersectionReport(
-            degree_product=product, resultant_degree=product, squarefree=False,
-            all_affine=True, shear_used=last_shear, verdict=FAIL,
-            witness=f"repeated resultant factor {last_witness} under all shears")
-    return IntersectionReport(
-        degree_product=product, resultant_degree=product, squarefree=False,
-        all_affine=True, shear_used=last_shear, verdict=INCONCLUSIVE,
-        witness="degenerate leading forms under all shears")
+        return report(shear_used=last_shear, verdict=FAIL,
+                      witness=f"repeated resultant factor {last_witness} under all shears")
+    return report(shear_used=None, verdict=INCONCLUSIVE,
+                  witness="degenerate leading forms under all shears")
 
 
 # -- smoothness --------------------------------------------------------------
@@ -184,11 +188,7 @@ def _binary_forms_common_root(forms: list[ExactPoly]) -> bool:
         return True
     # a nonzero binary form has a nonzero dehomogenization, so the gcd below
     # is a plain univariate computation
-    dehoms = [_dehomogenize(f) for f in nonzero]
-    g = dehoms[0]
-    for f in dehoms[1:]:
-        g = gcd_univariate(g, f)
-    return not g.is_constant()
+    return not _gcd_fold([_dehomogenize(f) for f in nonzero]).is_constant()
 
 
 def _smooth_at_infinity(p: ExactPoly) -> tuple[str, str | None]:
@@ -206,32 +206,21 @@ def _smooth_at_infinity(p: ExactPoly) -> tuple[str, str | None]:
     return PASS, None
 
 
-def _univariate_in_y_gcd(polys: list[ExactPoly]) -> ExactPoly:
-    nonzero = [p for p in polys if not p.is_zero()]
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = gcd_univariate(g, p)
-    return g
-
-
-def _verify_affine_point_candidates(g: ExactPoly,
-                                    system: list[ExactPoly]) -> tuple[bool, str | None, bool]:
+def _verify_affine_point_candidates(g: ExactPoly, system: list[ExactPoly]) -> str | None:
     """Check rational roots of g for genuine common solutions of the system.
 
-    Returns (found, witness, roots_complete); system entries are bivariate,
-    specialised at each candidate x-value.
+    Returns a witness for the first root that is one, else None; system
+    entries are bivariate, specialised at each candidate x-value.
     """
-    roots, complete = rational_roots(g)
-    for x0 in roots:
+    for x0 in rational_roots(g)[0]:
         x0_poly = ExactPoly.const(XY, x0)
         specialised = [poly_substitute(p, {"x": x0_poly, "y": ExactPoly.variable(XY, "y")})
                        for p in system]
         if all(p.is_zero() for p in specialised):
-            return True, f"x = {x0} (entire fibre)", complete
-        common = _univariate_in_y_gcd(specialised)
-        if not common.is_constant():
-            return True, f"common point over x = {x0}", complete
-    return False, None, complete
+            return f"x = {x0} (entire fibre)"
+        if not _gcd_fold(specialised).is_constant():
+            return f"common point over x = {x0}"
+    return None
 
 
 def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED) -> tuple[str, str | None]:
@@ -242,10 +231,7 @@ def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED) -> tuple[str, 
         return FAIL, infinity_witness
 
     last_witness = None
-    for s in _shear_values(seed):
-        ps = shear(p, s)
-        if _top_y_coefficient(ps) == 0:
-            continue
+    for s, (ps,) in _valid_shears((p,), seed):
         px = poly_diff(ps, "x")
         py = poly_diff(ps, "y")
         if px.is_zero():
@@ -261,8 +247,8 @@ def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED) -> tuple[str, 
         g = u if v.is_zero() else gcd_univariate(u, v)
         if g.is_constant():
             return PASS, None
-        found, witness, _complete = _verify_affine_point_candidates(g, [ps, px, py])
-        if found:
+        witness = _verify_affine_point_candidates(g, [ps, px, py])
+        if witness is not None:
             return FAIL, f"singular point: {witness}"
         last_witness = str(g)
     return INCONCLUSIVE, f"unseparated singular-point candidates {last_witness}"
@@ -275,62 +261,54 @@ def curve_smooth_check(p: ExactPoly, seed: int = DEFAULT_SEED) -> bool:
 
 # -- triple points ------------------------------------------------------------
 
-class _AuditCache:
-    """Per-audit memo of sheared curves and pairwise resultants.
+def _triple_verdicts(curves: dict[str, ExactPoly], seed: int
+                     ) -> dict[tuple[str, ...], tuple[str, str | None]]:
+    """Verdict and witness of every triple of the named non-constant curves.
 
-    The twenty triple checks of an audit reuse the same shear sequence, so
-    the handful of distinct (pair, shear) resultants is computed once.
-    Keys use object identity: within one audit the six curve polynomials
-    are fixed objects.
+    One walk of the shear sequence serves all triples: at each shear, every
+    curve of a still undecided triple is sheared once, and the resultant of
+    each pair (a, b), a before b, is computed once for every triple it
+    serves.  A shear is tried on a triple only if it is valid for its three
+    curves, so each triple sees the shears it would see alone.
     """
-
-    def __init__(self):
-        self._sheared: dict[tuple[int, Fraction], ExactPoly] = {}
-        self._resultants: dict[tuple[int, int, Fraction], ExactPoly] = {}
-
-    def sheared(self, p: ExactPoly, s: Fraction) -> ExactPoly:
-        key = (id(p), s)
-        if key not in self._sheared:
-            self._sheared[key] = shear(p, s)
-        return self._sheared[key]
-
-    def pair_resultant(self, p: ExactPoly, q: ExactPoly, s: Fraction) -> ExactPoly:
-        key = (id(p), id(q), s)
-        if key not in self._resultants:
-            self._resultants[key] = resultant(self.sheared(p, s), self.sheared(q, s), "y")
-        return self._resultants[key]
-
-
-def _no_triple_verdict(p: ExactPoly, q: ExactPoly, r: ExactPoly,
-                       seed: int = DEFAULT_SEED,
-                       cache: _AuditCache | None = None) -> tuple[str, str | None]:
-    for poly, label in ((p, "p"), (q, "q"), (r, "r")):
-        if poly.is_zero() or poly.is_constant():
-            raise ValueError(f"{label} must be a non-constant polynomial")
-    cache = cache or _AuditCache()
-    last_witness = None
+    undecided = dict.fromkeys(combinations(curves, 3))   # triple -> last witness
+    verdicts: dict[tuple[str, ...], tuple[str, str | None]] = {}
     for s in _shear_values(seed):
-        sheared = [cache.sheared(f, s) for f in (p, q, r)]
-        if any(_top_y_coefficient(f) == 0 for f in sheared):
-            continue
-        res_pq = cache.pair_resultant(p, q, s)
-        res_pr = cache.pair_resultant(p, r, s)
-        if res_pq.is_zero() or res_pr.is_zero():
-            return FAIL, "two of the three curves share a component"
-        g = gcd_univariate(res_pq, res_pr)
-        if g.is_constant():
-            return PASS, None
-        found, witness, _complete = _verify_affine_point_candidates(g, sheared)
-        if found:
-            return FAIL, f"triple point: {witness}"
-        last_witness = str(g)
-    return INCONCLUSIVE, f"unseparated triple-point candidates {last_witness}"
+        needed = {name for triple in undecided for name in triple}
+        sheared = {name: shear(poly, s) for name, poly in curves.items() if name in needed}
+        resultants: dict[tuple[str, str], ExactPoly] = {}
+        for triple in list(undecided):
+            polys = [sheared[name] for name in triple]
+            if not _keeps_top_y(polys):
+                continue
+            a, b, c = triple
+            for pair in ((a, b), (a, c)):
+                if pair not in resultants:
+                    resultants[pair] = resultant(sheared[pair[0]], sheared[pair[1]], "y")
+            res_ab, res_ac = resultants[a, b], resultants[a, c]
+            if res_ab.is_zero() or res_ac.is_zero():
+                verdicts[triple] = FAIL, "two of the three curves share a component"
+            elif (g := gcd_univariate(res_ab, res_ac)).is_constant():
+                verdicts[triple] = PASS, None
+            elif (witness := _verify_affine_point_candidates(g, polys)) is not None:
+                verdicts[triple] = FAIL, f"triple point: {witness}"
+            else:
+                undecided[triple] = str(g)
+                continue
+            del undecided[triple]
+    for triple, last_witness in undecided.items():
+        verdicts[triple] = INCONCLUSIVE, f"unseparated triple-point candidates {last_witness}"
+    return verdicts
 
 
 def no_triple_check(p: ExactPoly, q: ExactPoly, r: ExactPoly,
                     seed: int = DEFAULT_SEED) -> bool:
     """True iff the three curves are certified to have empty common intersection."""
-    return _no_triple_verdict(p, q, r, seed)[0] == PASS
+    curves = {"p": p, "q": q, "r": r}
+    for label, poly in curves.items():
+        if poly.is_zero() or poly.is_constant():
+            raise ValueError(f"{label} must be a non-constant polynomial")
+    return _triple_verdicts(curves, seed)["p", "q", "r"][0] == PASS
 
 
 # -- line and infinity dispositions -------------------------------------------
@@ -348,8 +326,8 @@ def _line_y0_verdict(surf: SurfacePair) -> tuple[str, str | None]:
             return FAIL, f"{label}(x,0) drops degree"
         if not squarefree_univariate(restricted):
             return FAIL, f"{label}(x,0) has a multiple root"
-        for name, partial in partials.items():
-            g = gcd_univariate(restricted, _on_axis(partial))
+        for name, derivative in partials.items():
+            g = gcd_univariate(restricted, _on_axis(derivative))
             if not g.is_constant():
                 return FAIL, f"{name} vanishes on a root of {label}(x,0): gcd {g}"
     return PASS, None
@@ -448,35 +426,26 @@ def full_genericity_audit(surf: SurfacePair, seed: int = DEFAULT_SEED) -> Generi
         verdict, witness = _curve_smooth_verdict(poly, seed)
         checks.append(CheckResult(f"smooth_{label}", verdict, witness, shear_seed=seed))
 
-    names = list(SIX_CURVE_NAMES)
-    for idx_a in range(len(names)):
-        for idx_b in range(idx_a + 1, len(names)):
-            a, b = names[idx_a], names[idx_b]
-            pa, pb = curves[a], curves[b]
-            name = f"pair_{a}_{b}"
-            pair_seed = seed + idx_a * 16 + idx_b
-            if pa.is_constant() or pb.is_constant():
-                checks.append(CheckResult(name, INCONCLUSIVE, "constant curve"))
-                continue
-            report = pair_transversality_check(pa, pb, seed=pair_seed)
-            checks.append(CheckResult(
-                name, report.verdict, report.witness,
-                shear_used=None if report.shear_used is None else str(report.shear_used),
-                shear_seed=pair_seed))
+    for (idx_a, a), (idx_b, b) in combinations(enumerate(SIX_CURVE_NAMES), 2):
+        name = f"pair_{a}_{b}"
+        pair_seed = seed + idx_a * 16 + idx_b
+        if curves[a].is_constant() or curves[b].is_constant():
+            checks.append(CheckResult(name, INCONCLUSIVE, "constant curve"))
+            continue
+        report = pair_transversality_check(curves[a], curves[b], seed=pair_seed)
+        checks.append(CheckResult(
+            name, report.verdict, report.witness,
+            shear_used=None if report.shear_used is None else str(report.shear_used),
+            shear_seed=pair_seed))
 
-    triple_cache = _AuditCache()
-    for idx_a in range(len(names)):
-        for idx_b in range(idx_a + 1, len(names)):
-            for idx_c in range(idx_b + 1, len(names)):
-                a, b, c = names[idx_a], names[idx_b], names[idx_c]
-                name = f"triple_{a}_{b}_{c}"
-                polys = (curves[a], curves[b], curves[c])
-                if any(p.is_constant() for p in polys):
-                    checks.append(CheckResult(name, INCONCLUSIVE, "constant curve"))
-                    continue
-                verdict, witness = _no_triple_verdict(*polys, seed=seed + 997,
-                                                      cache=triple_cache)
-                checks.append(CheckResult(name, verdict, witness, shear_seed=seed + 997))
+    triples = _triple_verdicts({name: poly for name, poly in curves.items()
+                                if not poly.is_constant()}, seed + 997)
+    for triple in combinations(SIX_CURVE_NAMES, 3):
+        name = "triple_" + "_".join(triple)
+        if triple in triples:
+            checks.append(CheckResult(name, *triples[triple], shear_seed=seed + 997))
+        else:
+            checks.append(CheckResult(name, INCONCLUSIVE, "constant curve"))
 
     verdict, witness = _line_y0_verdict(surf)
     checks.append(CheckResult("line_y0_disposition", verdict, witness))

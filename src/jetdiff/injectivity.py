@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import add
 
 from . import linalg
-from .divisibility import ColumnLabel, vector_to_field
+from .divisibility import unknown_labels, vector_to_field
 from .genericity import (
     DEFAULT_SEED,
     GenericityReport,
@@ -75,19 +75,21 @@ def injectivity_matrix(surf: SurfacePair, m: int, a: int,
                        enforce_cap: bool = True) -> linalg.SparseMatrix:
     """The matrix of A -> J in the canonical bases.
 
-    Columns are the unknowns (j,k,p,q,h,i); rows the realised monomials of
-    the jet polynomial in (x, y, x', y').  The degree cap a <= d-2 is the
-    theorem's hypothesis; pass enforce_cap=False only to record what happens
-    beyond it.
+    Columns are the unknowns (j,k,p,q,h,i) in the order of
+    `divisibility.unknown_labels`, in which `vector_to_field` reads a kernel
+    vector back; rows the realised monomials of the jet polynomial in
+    (x, y, x', y').  `JetSpec` refuses m < 1 and a < 0.  The degree cap
+    a <= d-2 is the theorem's hypothesis; pass enforce_cap=False only to
+    record what happens beyond it.
     """
-    if enforce_cap and a > surf.d - 2:
+    spec = JetSpec(m=m, c=0, a=a)
+    if enforce_cap and not spec.injectivity_cap_ok(surf.d):
         raise ValueError(f"degree cap violated: a={a} > d-2={surf.d - 2}")
     ctx = JetContext(surf)
-    monomials = list(monomials_upto(a))
-    columns: list[ColumnLabel] = [t + mono for t in index_tuples(m) for mono in monomials]
-    shifts = [(h, i, 0, 0) for (h, i) in monomials]
-    return _matrix_from_shifts(columns, [(ctx.jet_term_base(t, m), shifts)
-                                         for t in index_tuples(m)])
+    # index tuples, then monomials: the order of unknown_labels
+    shifts = [(h, i, 0, 0) for (h, i) in monomials_upto(a)]
+    return _matrix_from_shifts(unknown_labels(spec), [(ctx.jet_term_base(t, m), shifts)
+                                                      for t in index_tuples(m)])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Mapping
 
-from .polyring import ExactPoly, PowerCache, VarSet, poly_diff, poly_parse
+from .polyring import MAX_DEGREE, ExactPoly, PowerCache, VarSet, poly_diff, poly_parse
 
 XY = VarSet(("x", "y"))
 JET_VARS = VarSet(("x", "y", "x'", "y'"))
@@ -53,7 +53,8 @@ def monomials_upto(a: int) -> Iterator[tuple[int, int]]:
 class SurfacePair:
     """The two defining curves R, S of the surface z^d = R(x,y), t^e = S(x,y).
 
-    Validates on construction that 1 <= deg R <= deg S and that both pure
+    Validates on construction that 1 <= deg R <= deg S <= MAX_DEGREE (the
+    parser's expansion cap) and that both pure
     top-degree coefficients (of x^d, y^d in R and x^e, y^e in S) are nonzero,
     the normalisation every downstream construction relies on.
     """
@@ -71,6 +72,8 @@ class SurfacePair:
             raise ValueError("S must be non-constant")
         if d > e:
             raise ValueError(f"degrees must satisfy deg R <= deg S, got {d} > {e}")
+        if e > MAX_DEGREE:
+            raise ValueError(f"surface degrees must not exceed {MAX_DEGREE}, got d={d}, e={e}")
         for poly, deg, label in ((r, d, "R"), (s, e, "S")):
             if poly.coefficient((deg, 0)) == 0:
                 raise ValueError(f"{label} must carry a nonzero x^{deg} term")

@@ -102,6 +102,17 @@ class TestAudit:
         assert code == 3 and message in body["error"]
         assert time.monotonic() - start < 5
 
+    def test_unbounded_degree_is_an_input_error(self, capsys, tmp_path):
+        # parses in milliseconds (single terms), but shearing x^N would build
+        # N powers; the surface degree cap refuses it first
+        n = 10 ** 30
+        path = tmp_path / "unbounded.txt"
+        path.write_text(f"R = x^{n} + y^{n} + 1\nS = x^{n} + y^{n} + x + 2\n")
+        start = time.monotonic()
+        code, body = run_cli(capsys, ["audit", "--surface", str(path)])
+        assert code == 3 and "must not exceed 100" in body["error"]
+        assert time.monotonic() - start < 5
+
     def test_determinism(self, capsys, generic_surface_file):
         main(["audit", "--surface", generic_surface_file])
         first = capsys.readouterr().out
@@ -186,6 +197,36 @@ class TestVerify:
     def test_requires_a_suite(self, capsys):
         code, body = run_cli(capsys, ["verify"])
         assert code == 3 and "error" in body
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--restriction", "--m", "0"], "--m"),
+        (["--injectivity", "--m", "-1"], "--m"),
+        (["--restriction", "--d", "0"], "--d"),
+        (["--restriction", "--d", "3", "--e", "2"], "--e"),
+        (["--restriction", "--d", "101"], "--e <= 100"),
+        (["--transfer", "--e", "101"], "--e <= 100"),
+        (["--transfer", "--deg", "0"], "--deg"),
+        (["--transfer", "--deg", "101"], "--deg"),
+        (["--transfer", "--trials", "0"], "--trials"),
+        (["--injectivity", "--surfaces", "0"], "--surfaces"),
+        (["--restriction", "--a", "-1"], "--a"),
+        (["--injectivity", "--d", "3", "--a", "5"], "--a <= --d - 2"),
+        # the default a = 0 exceeds d - 2 = -1
+        (["--injectivity", "--d", "1"], "--a <= --d - 2"),
+    ])
+    def test_out_of_range_flags(self, capsys, flags, named):
+        start = time.monotonic()
+        code, body = run_cli(capsys, ["verify", *flags])
+        assert code == 3 and named in body["error"]
+        assert time.monotonic() - start < 5
+
+    @pytest.mark.parametrize("flags", [
+        ["--transfer", "--deg", "1", "--trials", "1"],
+        ["--restriction", "--d", "1", "--m", "1", "--a", "0", "--trials", "1"],
+    ])
+    def test_smallest_flags_accepted(self, capsys, flags):
+        code, body = run_cli(capsys, ["verify", *flags])
+        assert code == 0 and body["passed"]
 
 
 class TestCountAndChi:

@@ -2,13 +2,17 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from jetdiff import genericity
 from jetdiff.genericity import (
+    DEFAULT_SEED,
     FAIL,
     INCONCLUSIVE,
     PASS,
+    SIX_CURVE_NAMES,
     axis_ox_disposition_check,
     curve_smooth_check,
     full_genericity_audit,
@@ -237,6 +241,10 @@ class TestFailingAuditReports:
         # the conics touch at (+-1, 0): repeated resultant factor x^2 - 1
         "tangency": ("x^2 + y^2 - 1", "x^2 + 4*y^2 - 1",
                      "45255a73cad83b41a1ba32b09c710ccb7e49c56af9c9c28089d63dcb0544ca22"),
+        # d = 1: R_x and R_y are constants, so 9 pairs and 16 triples are
+        # "constant curve"; S_y vanishes at the root x = -1 of S(x, 0)
+        "line_and_conic": ("x + 2*y - 1", "x^2 + x*y + 3*y^2 - x + y - 2",
+                           "666e7b3fb1437b4fe82488154eb83d2d6131d2b95bca1cfa133afe3239df9307"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -246,3 +254,50 @@ class TestFailingAuditReports:
         assert report.verdict == FAIL
         body = json.dumps(report.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def _audited_surfaces():
+    """Three random d = e = 3 surfaces, the golden failing cases, and a pair
+    whose R_x = 2x makes the identity shear invalid only for the triples
+    with R_x: the triple points of the others have witnesses that move
+    with the shear, so each must be decided at its own first valid shear."""
+    surfaces = [random_surface_pair(random.Random(seed), 3, 3) for seed in (5, 6, 7)]
+    texts = [(r, s) for r, s, _ in TestFailingAuditReports.CASES.values()]
+    texts.append(("x^2 + y^2 + 2*y", "x^2 - 2*x*y + 2*y^2 + x"))
+    return surfaces + [SurfacePair.parse(r, s) for r, s in texts]
+
+
+class TestTriplePass:
+    def test_audit_triples_equal_each_triple_alone(self):
+        non_pass = 0
+        for surf in _audited_surfaces():
+            curves = genericity._six_curves(surf)
+            checks = {c.name: c for c in full_genericity_audit(surf).checks}
+            for triple in combinations(SIX_CURVE_NAMES, 3):
+                check = checks["triple_" + "_".join(triple)]
+                if any(curves[name].is_constant() for name in triple):
+                    assert (check.verdict, check.witness) == (INCONCLUSIVE, "constant curve")
+                    continue
+                alone = genericity._triple_verdicts({name: curves[name] for name in triple},
+                                                    DEFAULT_SEED + 997)
+                assert (check.verdict, check.witness) == alone[triple]
+                non_pass += check.verdict != PASS
+        # the golden cases carry failing and inconclusive triples
+        assert non_pass >= 20
+
+    def test_at_most_one_resultant_per_pair_and_shear(self, monkeypatch):
+        calls = []
+        shears = set()
+        resultant, shear_ = genericity.resultant, genericity.shear
+        monkeypatch.setattr(genericity, "resultant",
+                            lambda *args: calls.append(args) or resultant(*args))
+        monkeypatch.setattr(genericity, "shear",
+                            lambda p, s: shears.add(s) or shear_(p, s))
+        for surf in _audited_surfaces():
+            calls.clear()
+            shears.clear()
+            genericity._triple_verdicts({name: poly for name, poly
+                                         in genericity._six_curves(surf).items()
+                                         if not poly.is_constant()}, DEFAULT_SEED + 997)
+            # without sharing, the 20 triples would take 40 resultants per shear
+            assert 0 < len(calls) <= 15 * len(shears)

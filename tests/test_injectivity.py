@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jetdiff.divisibility import unknown_labels
 from jetdiff.genericity import full_genericity_audit, pair_transversality_check
 from jetdiff.injectivity import (
     GenericityGateError,
@@ -70,6 +71,18 @@ class TestMatrixAssembly:
             for exps, value in zip(matrix.rows, image):
                 assert jet.coefficient(exps) == value
             assert sum(1 for v in image if v) == len(jet.terms)
+
+    def test_columns_are_the_unknown_labels(self):
+        # the order in which vector_to_field reads a kernel witness back
+        surf = random_surface_pair(random.Random(5), 4, 4)
+        matrix = injectivity_matrix(surf, 2, 2)
+        assert list(matrix.columns) == unknown_labels(JetSpec(m=2, c=0, a=2))
+
+    def test_order_and_degree_validated(self):
+        surf = random_surface_pair(random.Random(6), 3, 3)
+        for m, a in ((0, 1), (-1, 1), (1, -1)):
+            with pytest.raises(ValueError):
+                injectivity_matrix(surf, m, a, enforce_cap=False)
 
     def test_degree_cap_enforced(self):
         surf = random_surface_pair(random.Random(4), 3, 3)

@@ -46,6 +46,15 @@ class TestSurfacePair:
         with pytest.raises(ValueError):
             SurfacePair.parse("3", "x^2 + y^2 - 1")
 
+    def test_degree_capped(self):
+        assert SurfacePair.parse("x^100 + y^100 + 1", "x^100 + y^100 + x + 2").e == 100
+        for degree in (101, 10 ** 30):
+            with pytest.raises(ValueError, match="must not exceed 100"):
+                SurfacePair.parse(f"x^{degree} + y^{degree} + 1",
+                                  f"x^{degree} + y^{degree} + x + 2")
+        with pytest.raises(ValueError, match="must not exceed 100"):
+            SurfacePair.parse("x^2 + y^2 - 1", "x^101 + y^101 + 1")
+
 
 class TestIndexEnumeration:
     def test_tuple_count(self):
