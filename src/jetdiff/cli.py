@@ -34,6 +34,7 @@ from .sampling import (
     random_surface_pair,
 )
 from .surfacecharts import (
+    CHARTS,
     full_chart_transfer,
     restrict_to_surface,
     verify_derivative_transfer,
@@ -59,7 +60,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 class RunConfig:
     """One resolved invocation; the seed defaults to a fixed constant."""
 
-    subcommand: str
     seed: int
     out: str | None
     verbosity: int
@@ -85,7 +85,7 @@ def load_surface_file(path: str) -> SurfacePair:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read surface file {path!r}: {exc}") from exc
     polys = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -224,7 +224,7 @@ def _verify_transfer_suite(args, seed: int) -> dict:
     for degree in degrees:
         for _ in range(args.trials):
             r = random_dense_polynomial(rng, degree)
-            for chart in ("inv_x", "inv_y"):
+            for chart in CHARTS:
                 ok = verify_derivative_transfer(r, degree, chart)
                 all_ok = all_ok and ok
                 runs.append({"kind": "derivative", "degree": degree, "chart": chart,
@@ -233,7 +233,7 @@ def _verify_transfer_suite(args, seed: int) -> dict:
         surf = random_surface_pair(rng, degree, degree)
         field = random_coefficient_field(rng, 1, 1)
         spec = JetSpec(m=1, c=5, a=1)
-        for chart in ("inv_x", "inv_y"):
+        for chart in CHARTS:
             result = full_chart_transfer(field, surf, spec, chart)
             all_ok = all_ok and result.identity_ok
             runs.append({"kind": "full", "degree": degree, "chart": chart,
@@ -424,8 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             if path is not None:
                 _check_output_path(path)
         seed = args.seed if args.seed is not None else _default_seed()
-        config = RunConfig(subcommand=args.command, seed=seed, out=args.out,
-                           verbosity=args.verbose, args=args)
+        config = RunConfig(seed=seed, out=args.out, verbosity=args.verbose, args=args)
         code, body = _COMMANDS[args.command](config)
     except CliInputError as exc:
         _emit({"error": str(exc)}, None)

@@ -30,7 +30,12 @@ from .jetbuilder import (
     unit_field,
 )
 from .polyring import ExactPoly, monomial_quotient
-from .surfacecharts import full_chart_transfer, restrict_to_surface, verify_infinity_exponents
+from .surfacecharts import (
+    CHARTS,
+    full_chart_transfer,
+    restrict_to_surface,
+    verify_infinity_exponents,
+)
 
 ColumnLabel = tuple[int, int, int, int, int, int]   # (j, k, p, q, h, i)
 RowLabel = tuple[int, int, int, int]                # (alpha, beta, h', i')
@@ -160,12 +165,8 @@ def build_section(surf: SurfacePair, spec: JetSpec,
         raise AssemblyError("jet not divisible although every Lambda was")
     _, restriction_exact = restrict_to_surface(field, surf, spec)
     infinity_report = verify_infinity_exponents(spec)
-    if spec.holomorphic_at_infinity:
-        transfer_ok = all(
-            full_chart_transfer(field, surf, spec, chart).identity_ok
-            for chart in ("inv_x", "inv_y"))
-    else:
-        transfer_ok = False
+    transfer_ok = spec.holomorphic_at_infinity and all(
+        full_chart_transfer(field, surf, spec, chart).identity_ok for chart in CHARTS)
     return SectionCertificate(
         field=field,
         jet=jet,

@@ -1050,7 +1050,11 @@ def squarefree_univariate(p: ExactPoly) -> bool:
     return g.is_constant()
 
 
-def rational_roots(p: ExactPoly, divisor_limit: int = 10**12) -> tuple[list[Fraction], bool]:
+# largest |coefficient| whose divisors rational_roots enumerates in full
+RATIONAL_ROOT_DIVISOR_LIMIT = 10**12
+
+
+def rational_roots(p: ExactPoly) -> tuple[list[Fraction], bool]:
     """All rational roots of an effectively-univariate polynomial.
 
     Returns ``(roots, complete)``.  complete is False when the leading or
@@ -1074,7 +1078,7 @@ def rational_roots(p: ExactPoly, divisor_limit: int = 10**12) -> tuple[list[Frac
         return roots, True
     a0, an = abs(ints[0]), abs(ints[-1])
     complete = True
-    if a0 > divisor_limit or an > divisor_limit:
+    if a0 > RATIONAL_ROOT_DIVISOR_LIMIT or an > RATIONAL_ROOT_DIVISOR_LIMIT:
         complete = False
         num_divs = [d for d in range(1, 10**4 + 1) if a0 % d == 0]
         den_divs = [d for d in range(1, 10**4 + 1) if an % d == 0]

@@ -27,7 +27,9 @@ from fractions import Fraction
 
 from .jetbuilder import (
     JET_VARS,
+    XY,
     CoefficientField,
+    IndexTuple,
     JetContext,
     JetSpec,
     SurfacePair,
@@ -44,6 +46,7 @@ HOMOGENEOUS_VARS = VarSet(("U", "X", "Y", "Z", "T"))
 
 INV_X = "inv_x"
 INV_Y = "inv_y"
+CHARTS = (INV_X, INV_Y)
 
 
 def restrict_to_surface(field: CoefficientField, surf: SurfacePair,
@@ -69,30 +72,62 @@ def restrict_to_surface(field: CoefficientField, surf: SurfacePair,
 
 # -- chart transfer -----------------------------------------------------------
 
+def _chart(chart: str) -> tuple[ExactPoly, ExactPoly, ExactPoly, ExactPoly]:
+    """The chart map: (u, u', image of x', image of y'), u the inverted coordinate.
+
+    inv_x is x -> 1/x1, y -> y1/x1 (u = x1); inv_y is x -> x1/y1, y -> 1/y1
+    (u = y1).  The images of x' and y' are their numerators over u^2.
+    """
+    x1, y1, x1p, y1p = (ExactPoly.variable(CHART_VARS, name) for name in CHART_VARS.names)
+    if chart == INV_X:
+        return x1, x1p, -x1p, x1 * y1p - y1 * x1p
+    if chart == INV_Y:
+        return y1, y1p, y1 * x1p - x1 * y1p, -y1p
+    raise ValueError(f"chart must be one of {CHARTS}, got {chart!r}")
+
+
 def _chart_polynomial(p: ExactPoly, degree: int, chart: str) -> ExactPoly:
-    """x1^degree * p(1/x1, y1/x1) for inv_x, y1^degree * p(x1/y1, 1/y1) for inv_y."""
-    if p.total_degree() > degree:
-        raise ValueError(f"degree {degree} too small for a polynomial of degree "
-                         f"{p.total_degree()}")
-    if chart == INV_X:
-        return p.map_exponents(CHART_VARS, lambda e: (degree - e[0] - e[1], e[1], 0, 0))
-    return p.map_exponents(CHART_VARS, lambda e: (e[0], degree - e[0] - e[1], 0, 0))
+    """u^degree * p under the chart map, for p over (x, y) or over JET_VARS.
+
+    degree bounds the (x, y)-degree of p; a jet polynomial is cleared by a
+    further u^2 per x' or y', the denominator of their images.
+    """
+    plane_degree = max((e[0] + e[1] for e in p.num), default=0)
+    if plane_degree > degree:
+        raise ValueError(f"degree {degree} too small for a polynomial of degree {plane_degree}")
+    u, _, xp_image, yp_image = _chart(chart)
+    slot = CHART_VARS.index(u.used_variables()[0])
+
+    def plane(e: tuple[int, ...]) -> tuple[int, int, int, int]:
+        image = [e[0], e[1], 0, 0]
+        image[slot] = degree - e[0] - e[1]
+        return tuple(image)
+
+    if p.vars == XY:
+        return p.map_exponents(CHART_VARS, plane)
+    # one group of integer numerators per (x', y') exponent pair
+    groups: dict[tuple[int, ...], dict] = {}
+    for e, coeff in p.num.items():
+        groups.setdefault(e[2:], {})[plane(e)] = coeff
+    result = ExactPoly.zero(CHART_VARS)
+    for (cx, cy), num in groups.items():
+        result = result + ExactPoly(CHART_VARS, num) * (xp_image ** cx * yp_image ** cy)
+    return result.scale(Fraction(1, p.den))
 
 
-def _chart_jet_images(chart: str) -> tuple[ExactPoly, ExactPoly]:
-    """Cleared numerators of the jet coordinates: (image of x', image of y')."""
-    x1p = ExactPoly.variable(CHART_VARS, "x1'")
-    y1p = ExactPoly.variable(CHART_VARS, "y1'")
-    x1 = ExactPoly.variable(CHART_VARS, "x1")
-    y1 = ExactPoly.variable(CHART_VARS, "y1")
-    if chart == INV_X:
-        return -x1p, x1 * y1p - y1 * x1p
-    return y1 * x1p - x1 * y1p, -y1p
+def _chart_derivative(p: ExactPoly, degree: int, chart: str) -> ExactPoly:
+    """The bracket -degree * u' * P1 + u * (x1'P1_x1 + y1'P1_y1), P1 the chart polynomial of p."""
+    u, u_prime, _, _ = _chart(chart)
+    p1 = _chart_polynomial(p, degree, chart)
+    p1_prime = (ExactPoly.variable(CHART_VARS, "x1'") * poly_diff(p1, "x1")
+                + ExactPoly.variable(CHART_VARS, "y1'") * poly_diff(p1, "y1"))
+    return (u_prime * p1).scale(-degree) + u * p1_prime
 
 
-def _check_chart(chart: str) -> None:
-    if chart not in (INV_X, INV_Y):
-        raise ValueError(f"chart must be {INV_X!r} or {INV_Y!r}, got {chart!r}")
+def _residual(spec: JetSpec, t: IndexTuple, h: int, i: int) -> int:
+    """The chart exponent a - (h+i) + 2m - (2j+2k+p+q) of the term x^h y^i of A[t]."""
+    j, k, p, q = t
+    return spec.a - (h + i) + 2 * spec.m - (2 * j + 2 * k + p + q)
 
 
 def verify_derivative_transfer(r: ExactPoly, d: int, chart: str) -> bool:
@@ -102,28 +137,11 @@ def verify_derivative_transfer(r: ExactPoly, d: int, chart: str) -> bool:
     substituted combination must equal -u' * d * R1 + u * (x1'R1_x1 + y1'R1_y1)
     where R1 is the chart polynomial of R.
     """
-    _check_chart(chart)
     if r.total_degree() != d:
         raise ValueError(f"declared degree {d} does not match deg R = {r.total_degree()}")
-    xp_img, yp_img = _chart_jet_images(chart)
     w = (ExactPoly.variable(JET_VARS, "x'") * poly_diff(r, "x").extend_to(JET_VARS)
          + ExactPoly.variable(JET_VARS, "y'") * poly_diff(r, "y").extend_to(JET_VARS))
-    # summed over the integer numerators of w, then divided by its denominator
-    lhs = ExactPoly.zero(CHART_VARS)
-    for (a, b, cx, cy), coeff in w.num.items():
-        if chart == INV_X:
-            base = ExactPoly.monomial(CHART_VARS, (d - 1 - a - b, b, 0, 0), coeff)
-        else:
-            base = ExactPoly.monomial(CHART_VARS, (a, d - 1 - a - b, 0, 0), coeff)
-        lhs = lhs + base * xp_img ** cx * yp_img ** cy
-    lhs = lhs.scale(Fraction(1, w.den))
-    r1 = _chart_polynomial(r, d, chart)
-    u = ExactPoly.variable(CHART_VARS, "x1" if chart == INV_X else "y1")
-    u_prime = ExactPoly.variable(CHART_VARS, "x1'" if chart == INV_X else "y1'")
-    r1_prime = (ExactPoly.variable(CHART_VARS, "x1'") * poly_diff(r1, "x1")
-                + ExactPoly.variable(CHART_VARS, "y1'") * poly_diff(r1, "y1"))
-    rhs = (u_prime * r1).scale(-d) + u * r1_prime
-    return lhs == rhs
+    return _chart_polynomial(w, d - 1, chart) == _chart_derivative(r, d, chart)
 
 
 @dataclass(frozen=True)
@@ -154,25 +172,18 @@ class InfinityExponentReport:
 
 def verify_infinity_exponents(spec: JetSpec) -> InfinityExponentReport:
     """Exhaustively audit the chart exponents over the admissible index grid."""
-    m, c, a = spec.m, spec.c, spec.a
-    prefactor = c - a - 4 * m
-    residual_min = None
-    witness = None
-    for (j, k, p, q) in index_tuples(m):
-        for (h, i) in monomials_upto(a):
-            residual = a - (h + i) + 2 * m - (2 * j + 2 * k + p + q)
-            if residual_min is None or residual < residual_min:
-                residual_min = residual
-            if prefactor + residual < 0 and witness is None:
-                witness = (j, k, p, q, h, i)
+    grid = [(t + (h, i), _residual(spec, t, h, i))
+            for t in index_tuples(spec.m) for (h, i) in monomials_upto(spec.a)]
+    residual_min = min(residual for _, residual in grid)
     return InfinityExponentReport(
-        m=m, c=c, a=a,
-        residuals_ok=residual_min is not None and residual_min >= 0,
-        residual_min=residual_min if residual_min is not None else 0,
-        prefactor_exponent=prefactor,
-        holomorphic_at_infinity=prefactor >= 0,
-        vanishes_at_infinity=prefactor >= 1,
-        witness=witness,
+        m=spec.m, c=spec.c, a=spec.a,
+        residuals_ok=residual_min >= 0,
+        residual_min=residual_min,
+        prefactor_exponent=spec.infinity_margin,
+        holomorphic_at_infinity=spec.holomorphic_at_infinity,
+        vanishes_at_infinity=spec.infinity_margin >= 1,
+        witness=next((index for index, residual in grid
+                      if spec.infinity_margin + residual < 0), None),
     )
 
 
@@ -196,54 +207,28 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
     directly substituted jet that u^(a+dm+em+2m) * (substituted J) equals the
     returned polynomial, bit-exactly.
     """
-    _check_chart(chart)
+    u, _, xp_image, yp_image = _chart(chart)
     if not spec.holomorphic_at_infinity:
         raise ValueError(f"chart transfer requires a <= c - 4m, got a={spec.a}, "
                          f"c={spec.c}, m={spec.m}")
     d, e, m, a = surf.d, surf.e, spec.m, spec.a
-    r1 = _chart_polynomial(surf.r, d, chart)
-    s1 = _chart_polynomial(surf.s, e, chart)
-    u = ExactPoly.variable(CHART_VARS, "x1" if chart == INV_X else "y1")
-    u_prime = ExactPoly.variable(CHART_VARS, "x1'" if chart == INV_X else "y1'")
-    xp_img, yp_img = _chart_jet_images(chart)
-
-    r1_prime = (ExactPoly.variable(CHART_VARS, "x1'") * poly_diff(r1, "x1")
-                + ExactPoly.variable(CHART_VARS, "y1'") * poly_diff(r1, "y1"))
-    s1_prime = (ExactPoly.variable(CHART_VARS, "x1'") * poly_diff(s1, "x1")
-                + ExactPoly.variable(CHART_VARS, "y1'") * poly_diff(s1, "y1"))
-    bp = (u_prime * r1).scale(-d) + u * r1_prime
-    bq = (u_prime * s1).scale(-e) + u * s1_prime
-
-    # The per-term residual a - (h+i) + 2m - (2j+2k+p+q) equals
-    # (a - h - i) + (p + q) because j+k+p+q = m: the first part is the chart
-    # polynomial of A at degree a, the second rides on the R' and S' slots.
-    residual_min = min((a - (h + i) + 2 * m - (2 * j + 2 * k + p + q)
-                        for (j, k, p, q), a_poly in field.items() for (h, i) in a_poly.num),
-                       default=0)
-    ctx = JetContext(surf, (xp_img, yp_img, r1, u * bp, s1, u * bq))
-    transferred = ctx.realize(field, lambda a_poly: _chart_polynomial(a_poly, a, chart))
-
-    # cross-multiplied identity against the directly substituted jet:
-    # u^(a+dm+em+2m) * Phi(J) must reproduce the transferred polynomial
-    jet = build_jet(field, surf, spec)
-    clearing = a + d * m + e * m
-    # summed over the integer numerators of J, then divided by its denominator
-    direct = ExactPoly.zero(CHART_VARS)
-    for (ex, ey, cx, cy), coeff in jet.num.items():
-        if chart == INV_X:
-            base = ExactPoly.monomial(CHART_VARS, (clearing - ex - ey, ey, 0, 0), coeff)
-        else:
-            base = ExactPoly.monomial(CHART_VARS, (ex, clearing - ex - ey, 0, 0), coeff)
-        direct = direct + base * ctx.xp_pow[cx] * ctx.yp_pow[cy]
-    direct = direct.scale(Fraction(1, jet.den))
-
-    identity_ok = (direct == transferred)
+    # The per-term residual equals (a - h - i) + (p + q) because j+k+p+q = m:
+    # the first part is the chart polynomial of A at degree a, the second
+    # rides on the R' and S' slots.
+    residual_min = min((_residual(spec, t, h, i)
+                        for t, a_poly in field.items() for (h, i) in a_poly.num), default=0)
+    slots = (xp_image, yp_image,
+             _chart_polynomial(surf.r, d, chart), u * _chart_derivative(surf.r, d, chart),
+             _chart_polynomial(surf.s, e, chart), u * _chart_derivative(surf.s, e, chart))
+    transferred = JetContext(surf, slots).realize(
+        field, lambda a_poly: _chart_polynomial(a_poly, a, chart))
+    direct = _chart_polynomial(build_jet(field, surf, spec), a + d * m + e * m, chart)
     return TransferResult(
         chart=chart,
         transferred=transferred,
         prefactor_exponent=spec.infinity_margin,
         residual_min=residual_min,
-        identity_ok=identity_ok,
+        identity_ok=direct == transferred,
     )
 
 

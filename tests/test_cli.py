@@ -66,6 +66,12 @@ class TestAudit:
         code, body = run_cli(capsys, ["audit", "--surface", str(tmp_path / "nope.txt")])
         assert code == 3 and "error" in body
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"R = x^2 + y^2 + 1\xff\nS = x^2 + y^2 - 1\n")
+        code, body = run_cli(capsys, ["audit", "--surface", str(path)])
+        assert code == 3 and "utf-8" in body["error"]
+
     def test_malformed_polynomial(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("R = x^2 + w\nS = x^2 + y^2 - 1\n")

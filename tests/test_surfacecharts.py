@@ -3,15 +3,17 @@ import random
 import pytest
 
 from jetdiff.jetbuilder import (
+    JET_VARS,
     XY,
     CoefficientField,
     JetContext,
     JetSpec,
     SurfacePair,
+    build_jet,
     index_tuples,
     unit_field,
 )
-from jetdiff.polyring import ExactPoly, poly_parse, poly_substitute
+from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, poly_substitute
 from jetdiff.sampling import (
     random_coefficient_field,
     random_dense_polynomial,
@@ -19,7 +21,9 @@ from jetdiff.sampling import (
 )
 from jetdiff.surfacecharts import (
     CHART_VARS,
+    CHARTS,
     SURFACE_VARS,
+    _chart_polynomial,
     full_chart_transfer,
     homogenize_surface_and_check,
     restrict_to_surface,
@@ -30,6 +34,33 @@ from jetdiff.surfacecharts import (
 
 def surface(seed=6, d=3, e=3):
     return random_surface_pair(random.Random(seed), d, e)
+
+
+# non-integer coefficients, so every polynomial built from it has den != 1
+FRACTIONAL_SURFACE = SurfacePair.parse("1/2*x^2 - 3/7*x*y + y^2 + 1/3",
+                                       "2/5*x^3 + x*y^2 - 1/9*y^3 + x - 5/4")
+
+
+def chart_oracle(p, degree, chart):
+    """u^degree * p under the chart map, substituted one monomial at a time.
+
+    x -> 1/x1, y -> y1/x1 for inv_x and x -> x1/y1, y -> 1/y1 for inv_y; a jet
+    coordinate x' or y' maps to the numerator of its image over u^2.
+    """
+    x1, y1, x1p, y1p = (ExactPoly.variable(CHART_VARS, name)
+                        for name in ("x1", "y1", "x1'", "y1'"))
+    if chart == "inv_x":
+        xp_image, yp_image = -x1p, x1 * y1p - y1 * x1p
+    else:
+        xp_image, yp_image = y1 * x1p - x1 * y1p, -y1p
+    total = ExactPoly.zero(CHART_VARS)
+    for exps, coeff in p.terms.items():
+        ex, ey, cx, cy = (*exps, 0, 0)[:4]  # (x, y) or (x, y, x', y')
+        rest = degree - ex - ey
+        plane = (rest, ey, 0, 0) if chart == "inv_x" else (ex, rest, 0, 0)
+        total = total + (ExactPoly.monomial(CHART_VARS, plane, coeff)
+                         * xp_image ** cx * yp_image ** cy)
+    return total
 
 
 class TestRestriction:
@@ -112,6 +143,40 @@ class TestDerivativeTransfer:
                     == verify_derivative_transfer(swapped, degree, "inv_x"))
 
 
+class TestChartPolynomial:
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_jet_matches_oracle(self, chart):
+        rng = random.Random(23)
+        for surf in (random_surface_pair(rng, 2, 3), FRACTIONAL_SURFACE):
+            for m, a in ((1, 2), (2, 1), (3, 0)):
+                spec = JetSpec(m=m, c=0, a=a)
+                jet = build_jet(random_coefficient_field(rng, m, a), surf, spec)
+                assert jet.vars == JET_VARS and not jet.is_zero()
+                degree = a + (surf.d + surf.e) * m
+                for extra in (0, 2):
+                    assert (_chart_polynomial(jet, degree + extra, chart)
+                            == chart_oracle(jet, degree + extra, chart))
+        assert jet.den != 1
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_derivative_combination_matches_oracle(self, chart):
+        rng = random.Random(24)
+        xp, yp = ExactPoly.variable(JET_VARS, "x'"), ExactPoly.variable(JET_VARS, "y'")
+        for r in (random_dense_polynomial(rng, 4), FRACTIONAL_SURFACE.s):
+            d = r.total_degree()
+            w = (xp * poly_diff(r, "x").extend_to(JET_VARS)
+                 + yp * poly_diff(r, "y").extend_to(JET_VARS))
+            assert _chart_polynomial(w, d - 1, chart) == chart_oracle(w, d - 1, chart)
+            assert _chart_polynomial(r, d, chart) == chart_oracle(r, d, chart)
+        assert w.den != 1 and r.den != 1
+
+    def test_degree_too_small_rejected(self):
+        jet = build_jet(unit_field(1, (1, 0, 0, 0), h=1), FRACTIONAL_SURFACE,
+                        JetSpec(m=1, c=0, a=1))
+        with pytest.raises(ValueError, match="too small"):
+            _chart_polynomial(jet, 5, "inv_x")  # deg in (x, y) is 1 + 2 + 3
+
+
 class TestInfinityExponents:
     def test_extreme_index_residual(self):
         report = verify_infinity_exponents(JetSpec(m=3, c=20, a=2))
@@ -171,6 +236,10 @@ class TestFullChartTransfer:
             field = random_coefficient_field(rng, 2, 1)
             result = full_chart_transfer(field, surf, spec, chart)
             assert result.identity_ok and result.prefactor_exponent == 0
+
+    def test_unknown_chart_rejected(self):
+        with pytest.raises(ValueError, match="inv_z"):
+            full_chart_transfer(CoefficientField(1), surface(), JetSpec(m=1, c=6, a=1), "inv_z")
 
     def test_requires_infinity_margin(self):
         surf = surface()
