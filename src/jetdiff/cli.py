@@ -199,10 +199,7 @@ def cmd_solve(config: RunConfig) -> tuple[int, dict]:
 
 
 def _verify_injectivity_suite(args, seed: int) -> dict:
-    d = args.d
-    e = args.e if args.e is not None else d
-    m = args.m
-    a = args.a if args.a is not None else max(0, d - 2)
+    d, e, m, a = args.d, args.e, args.m, args.injectivity_a
     rng = random.Random(seed)
     runs = []
     all_ok = True
@@ -245,10 +242,7 @@ def _verify_transfer_suite(args, seed: int) -> dict:
 
 
 def _verify_restriction_suite(args, seed: int) -> dict:
-    d = args.d
-    e = args.e if args.e is not None else d
-    m = args.m
-    a = args.a if args.a is not None else 1
+    d, e, m, a = args.d, args.e, args.m, args.restriction_a
     rng = random.Random(seed)
     runs = []
     all_ok = True
@@ -264,10 +258,16 @@ def _verify_restriction_suite(args, seed: int) -> dict:
             "passed": all_ok, "runs": runs}
 
 
-def _check_verify_flags(args: argparse.Namespace) -> None:
-    """Refuse out-of-range verify flags before any sampling."""
+def _resolve_verify_flags(args: argparse.Namespace) -> argparse.Namespace:
+    """The verify flags with each default resolved once, refused before any sampling.
+
+    --e defaults to --d; --a to max(0, d - 2) for --injectivity and to 1 for
+    --restriction, kept as `injectivity_a` and `restriction_a`.
+    """
     d = args.d
     e = args.e if args.e is not None else d
+    injectivity_a = args.a if args.a is not None else max(0, d - 2)
+    restriction_a = args.a if args.a is not None else 1
     rules = [
         (args.m >= 1, f"--m must be >= 1, got {args.m}"),
         (1 <= d <= e <= MAX_DEGREE,
@@ -277,18 +277,18 @@ def _check_verify_flags(args: argparse.Namespace) -> None:
         (args.trials >= 1, f"--trials must be >= 1, got {args.trials}"),
         (args.surfaces >= 1, f"--surfaces must be >= 1, got {args.surfaces}"),
         (args.a is None or args.a >= 0, f"--a must be >= 0, got {args.a}"),
+        (not args.injectivity or injectivity_a <= d - 2,
+         f"--injectivity needs --a <= --d - 2, got a={injectivity_a}, d={d}"),
     ]
-    if args.injectivity:
-        a = args.a if args.a is not None else max(0, d - 2)
-        rules.append((a <= d - 2, f"--injectivity needs --a <= --d - 2, got a={a}, d={d}"))
     for ok, message in rules:
         if not ok:
             raise CliInputError(message)
+    return argparse.Namespace(**{**vars(args), "e": e, "injectivity_a": injectivity_a,
+                                 "restriction_a": restriction_a})
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    args = config.args
-    _check_verify_flags(args)
+    args = _resolve_verify_flags(config.args)
     suites = []
     if args.injectivity:
         suites.append(_verify_injectivity_suite(args, config.seed))

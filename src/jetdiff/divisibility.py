@@ -3,12 +3,12 @@
 The unknowns are the coefficients A[j,k,p,q]^{h,i} (one per index tuple
 j+k+p+q = m and monomial h+i <= a); the constraints say that every
 expansion coefficient Lambda[alpha,beta] is divisible by y^c, i.e. that
-the coefficient of each monomial x^h' y^i' with i' < c vanishes.  The
-matrix is assembled column by column from unit coefficient fields through
-the twice-checked expansion path, solved exactly (a kernel certified mod
-p and verified by an exact matvec, else fraction-free elimination), and
-every kernel vector is re-verified independently via monomial_quotient
-before a certificate is issued.
+the coefficient of each monomial x^h' y^i' with i' < c vanishes.  Its
+rows are the rows of the A -> J matrix of y-degree below c, on the same
+columns.  It is solved exactly (a kernel certified mod p and verified by
+an exact matvec, else fraction-free elimination), and every kernel vector
+is re-verified through the independent route, expand_lambda and
+monomial_quotient, before a certificate is issued.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .jetbuilder import (
     expand_lambda,
     index_tuples,
     monomials_upto,
-    unit_field,
 )
 from .polyring import ExactPoly, monomial_quotient
 from .surfacecharts import (
@@ -71,26 +70,25 @@ class ConstraintSystem(linalg.SparseMatrix):
 def assemble_divisibility_system(surf: SurfacePair, spec: JetSpec) -> ConstraintSystem:
     """Matrix of the constraints `y^c divides every Lambda[alpha,beta]`.
 
-    Column (j,k,p,q,h,i) is the coefficient extraction of the expansion of
-    the unit field A[j,k,p,q] = x^h y^i; a shared base expansion per index
-    tuple is shifted monomially, which keeps assembly at one expansion per
-    tuple.  Rows whose linear form is identically zero never materialise.
+    Column (j,k,p,q,h,i) is the jet x^h y^i * jet_term_base(j,k,p,q) of the
+    unit field A[j,k,p,q] = x^h y^i; row (alpha,beta,h',i') with i' < c is
+    its coefficient of x^h' y^i' x'^alpha y'^beta.  Each tuple's base is read
+    once, cut below y^c and shifted monomially.  Rows whose linear form is
+    identically zero never materialise.
     """
     m, c, a = spec.m, spec.c, spec.a
     ctx = JetContext(surf)
-    columns = unknown_labels(spec)
-    # the coefficients of each base expansion, read once per tuple
-    base = {t: [(alpha, beta, poly.coefficients()) for (alpha, beta), poly
-                in expand_lambda(unit_field(m, t), surf, spec, ctx).entries.items()]
-            for t in index_tuples(m)}
-    column_maps: list[dict[RowLabel, Fraction]] = [
-        {(alpha, beta, mh + h, mi + i): coeff
-         for alpha, beta, terms in base[(j, k, p, q)]
-         for (mh, mi), coeff in terms.items() if mi + i < c}
-        for (j, k, p, q, h, i) in columns]
+    shifts = list(monomials_upto(a))
+    column_maps: list[dict[RowLabel, int | Fraction]] = []
+    for t in index_tuples(m):
+        low = [(alpha, beta, mh, mi, coeff) for (mh, mi, alpha, beta), coeff
+               in ctx.jet_term_base(t, m).coefficients().items() if mi < c]
+        column_maps.extend({(alpha, beta, mh + h, mi + i): coeff
+                            for alpha, beta, mh, mi, coeff in low if mi + i < c}
+                           for h, i in shifts)
     bound = (m + 1) * c * (a + surf.d * m + surf.e * m + 1)
     return ConstraintSystem.from_columns(
-        columns, column_maps, lambda r: (r[0], r[1], r[2] + r[3], -r[2]),
+        unknown_labels(spec), column_maps, lambda r: (r[0], r[1], r[2] + r[3], -r[2]),
         unpruned_row_bound=bound)
 
 

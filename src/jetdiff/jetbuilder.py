@@ -292,11 +292,10 @@ def build_jet(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> Exac
     return JetContext(surf).realize(field)
 
 
-def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
-                  ctx: JetContext | None = None) -> LambdaExpansion:
+def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> LambdaExpansion:
     """The (alpha, beta) coefficients of J, computed by direct reindexation."""
     validate_field(field, spec)
-    ctx = ctx or JetContext(surf)
+    ctx = JetContext(surf)
     m = spec.m
     entries: dict[tuple[int, int], ExactPoly] = {}
     for alpha in range(m + 1):

@@ -1,9 +1,10 @@
 """Exact rank and nullspace of sparse rational matrices.
 
-Rows are sparse maps column -> coefficient.  Each row is scaled to a
-primitive integer row on ingestion, then reduced by two-step division-exact
-(Bareiss) elimination: at every pivot step all still-active rows are updated
-as new = (pivot * row - row[pivot_col] * pivot_row) / previous_pivot, an
+Rows are sparse maps column -> coefficient, an int wherever the entry is
+integral and a Fraction otherwise.  Each row is scaled to a primitive
+integer row on ingestion, then reduced by two-step division-exact (Bareiss)
+elimination: at every pivot step all still-active rows are updated as
+new = (pivot * row - row[pivot_col] * pivot_row) / previous_pivot, an
 exact integer division.  Pivoting picks the smallest absolute entry in the
 pivot column (ties broken by row index), which keeps the integer growth of
 sparse systems low and makes the whole reduction deterministic.
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, int | Fraction]
 
 _PRIME = (1 << 61) - 1
 # residues with |n|, d <= this bound have at most one reconstruction n/d
@@ -321,7 +322,8 @@ class SparseMatrix:
     row_entries: tuple[SparseRow, ...]
 
     @classmethod
-    def from_columns(cls, columns: Sequence, column_maps: Sequence[Mapping[Hashable, Fraction]],
+    def from_columns(cls, columns: Sequence,
+                     column_maps: Sequence[Mapping[Hashable, int | Fraction]],
                      row_key: Callable[[Hashable], object], **fields):
         """The matrix whose column ci holds column_maps[ci][label] in row `label`.
 

@@ -200,6 +200,16 @@ class TestVerify:
                                       "--d", "2", "--m", "1", "--trials", "3"])
         assert code == 0 and body["passed"]
 
+    def test_suites_record_the_resolved_defaults(self, capsys):
+        # --e defaults to --d; --a to d - 2 for injectivity and to 1 for restriction
+        code, body = run_cli(capsys, ["--seed", "7", "verify", "--injectivity",
+                                      "--restriction", "--d", "2", "--surfaces", "1",
+                                      "--trials", "1"])
+        assert code == 0 and body["passed"]
+        configs = {suite["name"]: suite["config"] for suite in body["suites"]}
+        assert (configs["injectivity"]["e"], configs["injectivity"]["a"]) == (2, 0)
+        assert (configs["restriction"]["e"], configs["restriction"]["a"]) == (2, 1)
+
     def test_requires_a_suite(self, capsys):
         code, body = run_cli(capsys, ["verify"])
         assert code == 3 and "error" in body

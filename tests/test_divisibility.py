@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetdiff import divisibility
 from jetdiff.counting import dof
 from jetdiff.divisibility import (
     AssemblyError,
@@ -20,12 +21,18 @@ from jetdiff.jetbuilder import (
     XY,
     CoefficientField,
     JetSpec,
+    SurfacePair,
     expand_lambda,
     unit_field,
 )
+from jetdiff.injectivity import injectivity_matrix
 from jetdiff.linalg import rank
 from jetdiff.polyring import ExactPoly, monomial_quotient
 from jetdiff.sampling import random_surface_pair
+
+
+FRACTIONAL_SURFACE = SurfacePair.parse("1/2*x^2 - 3/7*x*y + y^2 + 1/3",
+                                       "2/5*x^3 + x*y^2 - 1/9*y^3 + x - 5/4")
 
 
 def surface(seed=20, d=3, e=3):
@@ -49,26 +56,42 @@ class TestAssembly:
         assert len(system.rows) <= system.unpruned_row_bound
 
     def test_column_faithfulness(self):
-        # oracle: direct expansion of each unit unknown
-        surf = surface(seed=9)
-        spec = JetSpec(m=1, c=2, a=1)
-        system = assemble_divisibility_system(surf, spec)
-        rng = random.Random(4)
-        labels = list(system.columns)
-        for _ in range(20):
-            ci = rng.randrange(len(labels))
-            j, k, p, q, h, i = labels[ci]
-            expansion = expand_lambda(unit_field(spec.m, (j, k, p, q), h, i), surf, spec)
-            expected = {}
-            for (alpha, beta), poly in expansion.entries.items():
-                for (mh, mi), coeff in poly.terms.items():
-                    if mi < spec.c:
-                        expected[(alpha, beta, mh, mi)] = coeff
-            actual = {}
-            for ri, row in enumerate(system.row_entries):
-                if ci in row:
-                    actual[system.rows[ri]] = row[ci]
-            assert actual == expected
+        # oracle: the expansion route, one unit field per column, on every column
+        cases = [(surface(seed=9), JetSpec(m=1, c=2, a=1)),
+                 (surface(seed=9), JetSpec(m=2, c=3, a=1)),
+                 (FRACTIONAL_SURFACE, JetSpec(m=2, c=2, a=2))]
+        for surf, spec in cases:
+            system = assemble_divisibility_system(surf, spec)
+            actual = [{} for _ in system.columns]
+            for label, row in zip(system.rows, system.row_entries):
+                for ci, value in row.items():
+                    actual[ci][label] = value
+            for ci, (j, k, p, q, h, i) in enumerate(system.columns):
+                expansion = expand_lambda(unit_field(spec.m, (j, k, p, q), h, i), surf, spec)
+                expected = {(alpha, beta, mh, mi): coeff
+                            for (alpha, beta), poly in expansion.entries.items()
+                            for (mh, mi), coeff in poly.terms.items() if mi < spec.c}
+                assert actual[ci] == expected
+
+    def test_rows_are_the_low_y_rows_of_the_jet_matrix(self, monkeypatch):
+        # D is M = injectivity_matrix cut below y^c, relabelled (h',i',alpha,beta)
+        # -> (alpha,beta,h',i') on the same columns; the assembly never expands
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("assembly reached expand_lambda")
+        monkeypatch.setattr(divisibility, "expand_lambda", no_expansion)
+        integral = surface(seed=31, d=3, e=4)
+        for surf, m, a in ((integral, 1, 1), (integral, 2, 1), (integral, 1, 3),
+                           (FRACTIONAL_SURFACE, 2, 2)):
+            matrix = injectivity_matrix(surf, m, a, enforce_cap=False)
+            top = max(label[1] for label in matrix.rows)
+            for c in (0, top // 2, top + 1):
+                system = assemble_divisibility_system(surf, JetSpec(m=m, c=c, a=a))
+                expected = {(alpha, beta, h, i): row
+                            for (h, i, alpha, beta), row in zip(matrix.rows, matrix.row_entries)
+                            if i < c}
+                assert system.columns == matrix.columns
+                assert dict(zip(system.rows, system.row_entries)) == expected
+            assert len(expected) == len(matrix.rows)  # c = top + 1 keeps every row
 
     def test_row_order_is_canonical(self):
         surf = surface(seed=11)
