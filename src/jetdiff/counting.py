@@ -21,14 +21,6 @@ def dof(a: int, m: int) -> int:
     return ((a + 1) * (a + 2) // 2) * ((m + 1) * (m + 2) * (m + 3) // 6)
 
 
-def dof_enumerated(a: int, m: int) -> int:
-    """Brute-force oracle for dof: direct enumeration of ((h,i),(j,k,p,q))."""
-    monomials = sum(1 for h in range(a + 1) for i in range(a + 1) if h + i <= a)
-    tuples = sum(1 for j in range(m + 1) for k in range(m + 1) for p in range(m + 1)
-                 if j + k + p <= m)
-    return monomials * tuples
-
-
 def constraint_bound(d: int, e: int, m: int) -> int:
     """Rectangle bound (m+1)*d*(d + d*m + e*m) on the divisibility constraints."""
     if d < 1 or e < 1 or m < 1:
@@ -42,12 +34,12 @@ def cubic_value(d: int) -> Fraction:
             - Fraction(17 * d, 108) - Fraction(28, 27))
 
 
-def minimal_admissible_d(search_limit: int = 10**6) -> int:
+def minimal_admissible_d() -> int:
     """Least positive d with cubic_value(d) >= 0, by exact search."""
-    for d in range(1, search_limit + 1):
+    for d in range(1, 10**6 + 1):
         if cubic_value(d) >= 0:
             return d
-    raise RuntimeError("no admissible d found below the search limit")
+    raise RuntimeError("no admissible d found below 10**6")
 
 
 def choose_m(d: int) -> int:

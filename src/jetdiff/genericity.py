@@ -169,13 +169,13 @@ def _dehomogenize(form: ExactPoly) -> ExactPoly:
 
 
 def _binary_squarefree(form: ExactPoly, degree: int) -> bool:
-    """Squarefreeness of a nonzero binary form of the stated degree."""
+    """Squarefreeness of a nonzero binary form of the stated degree.
+
+    F(x, 1) is nonzero, and degree - deg F(x, 1) is the multiplicity of the
+    root [1:0].
+    """
     f1 = _dehomogenize(form)
-    infinity_mult = degree - (f1.total_degree() if not f1.is_zero() else -1)
-    if f1.is_zero():
-        # form is a pure power of y
-        return degree <= 1
-    return squarefree_univariate(f1) and infinity_mult <= 1
+    return squarefree_univariate(f1) and degree - f1.total_degree() <= 1
 
 
 def _binary_forms_common_root(forms: list[ExactPoly]) -> bool:
@@ -320,10 +320,9 @@ def _on_axis(p: ExactPoly) -> ExactPoly:
 
 def _line_y0_verdict(surf: SurfacePair) -> tuple[str, str | None]:
     partials = dict(zip(("Rx", "Ry", "Sx", "Sy"), surf.partials()))
-    for poly, degree, label in ((surf.r, surf.d, "R"), (surf.s, surf.e, "S")):
+    # SurfacePair requires the x^d term, so R(x, 0) keeps the degree of R
+    for poly, label in ((surf.r, "R"), (surf.s, "S")):
         restricted = _on_axis(poly)
-        if restricted.total_degree() != degree:
-            return FAIL, f"{label}(x,0) drops degree"
         if not squarefree_univariate(restricted):
             return FAIL, f"{label}(x,0) has a multiple root"
         for name, derivative in partials.items():
@@ -353,9 +352,9 @@ def axis_ox_disposition_check(surf: SurfacePair) -> bool:
 def _infinity_verdict(surf: SurfacePair) -> tuple[str, str | None]:
     top_r = _homogeneous_part(surf.r, surf.d)
     top_s = _homogeneous_part(surf.s, surf.e)
+    # SurfacePair requires the x^d and y^d terms, so neither axis direction
+    # is a root of a leading form
     for form, degree, label in ((top_r, surf.d, "R"), (top_s, surf.e, "S")):
-        if form.coefficient((degree, 0)) == 0 or form.coefficient((0, degree)) == 0:
-            return FAIL, f"leading form of {label} vanishes at an axis direction"
         if not _binary_squarefree(form, degree):
             return FAIL, f"leading form of {label} not squarefree: {form}"
     if _binary_forms_common_root([top_r, top_s]):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from . import linalg
@@ -52,6 +51,7 @@ from .jetbuilder import (
     monomials_upto,
 )
 from .polyring import ExactPoly
+from .sampling import random_small_polynomial
 
 
 class GenericityGateError(RuntimeError):
@@ -209,17 +209,9 @@ def triangular_reduction_check(surf: SurfacePair, m: int,
         raise ValueError("desk-scale check: m <= 3")
     rng = random.Random(seed)
     ctx = JetContext(surf)
-
-    def random_poly() -> ExactPoly:
-        terms = {}
-        for (h, i) in monomials_upto(a):
-            value = rng.randint(-5, 5)
-            if value:
-                terms[(h, i)] = Fraction(value)
-        return ExactPoly(XY, terms)
-
     for k_prime in range(1, m + 1):
-        entries = {t: random_poly() for t in index_tuples(m) if t[1] >= k_prime}
+        entries = {t: random_small_polynomial(rng, a)
+                   for t in index_tuples(m) if t[1] >= k_prime}
         field = CoefficientField(m, entries)
         expansion = expand_lambda(field, surf, JetSpec(m=m, c=0, a=a))
         lhs = expansion.entries[(m - k_prime, k_prime)]

@@ -153,10 +153,6 @@ class CoefficientField:
     def items(self) -> list[tuple[IndexTuple, ExactPoly]]:
         return sorted(self.entries.items())
 
-    def max_degree(self):
-        return max((p.total_degree() for p in self.entries.values()
-                    if not p.is_zero()), default=0)
-
     def degree_cap_ok(self, a: int) -> bool:
         return all(p.total_degree() <= a for p in self.entries.values() if not p.is_zero())
 
@@ -168,9 +164,6 @@ class CoefficientField:
 
     def scale(self, value: Fraction | int) -> "CoefficientField":
         return CoefficientField(self.m, {t: p.scale(value) for t, p in self.entries.items()})
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.entries.values())
 
     def to_json_dict(self) -> dict[str, str]:
         return {",".join(map(str, t)): str(p) for t, p in self.items()}

@@ -24,7 +24,9 @@ the two operands' largest exponents in that variable, so no field can
 overflow.  The univariate gcd runs a primitive remainder sequence on the
 integer numerators.  The resultant runs the subresultant remainder
 sequence over Z[t] on the integer numerators and divides by the scaling
-factor once at the end.
+factor once at the end.  Its independent check, the Sylvester determinant
+by fraction-free elimination with exact polynomial division, is a test
+oracle in ``tests/test_polyring.py`` and is not part of this module.
 
 Term order is graded lexicographic with respect to the variable order fixed
 by the VarSet at creation; printing lists terms in descending graded-lex
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class _NegInfinity:
@@ -240,19 +242,12 @@ class ExactPoly:
                     used[i] = True
         return tuple(n for n, u in zip(self.vars.names, used) if u)
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Exponents, Fraction]]:
-        """Terms sorted by graded-lex order (descending by default)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=reverse)
-
     def leading_term(self) -> tuple[Exponents, Fraction]:
         """The graded-lex leading term of a nonzero polynomial."""
         if not self.num:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.num, key=_grlex_key)
         return exps, Fraction(self.num[exps], self.den)
-
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self.sorted_terms())
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -434,9 +429,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -696,48 +691,7 @@ def monomial_quotient(p: ExactPoly, name: str, k: int) -> tuple[ExactPoly, bool]
     return ExactPoly._from_ints(p.vars, out, p.den), exact
 
 
-# -- exact division and univariate views ------------------------------------
-
-def exact_divide(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    """Exact polynomial division p / q; raises ValueError if q does not divide p."""
-    p._check_same_vars(q)
-    if q.is_zero():
-        raise ValueError("division by the zero polynomial")
-    if p.is_zero():
-        return p
-    q_lead, q_coeff = q.leading_term()
-    quotient: dict[Exponents, Fraction] = {}
-    rem = p
-    while not rem.is_zero():
-        r_lead, r_coeff = rem.leading_term()
-        exps = tuple(a - b for a, b in zip(r_lead, q_lead))
-        if any(e < 0 for e in exps):
-            raise ValueError("inexact polynomial division")
-        coeff = r_coeff / q_coeff
-        quotient[exps] = quotient.get(exps, Fraction(0)) + coeff
-        rem = rem - q.shift(exps).scale(coeff)
-    return ExactPoly(p.vars, quotient)
-
-
-def univariate_coeffs(p: ExactPoly, name: str) -> list[ExactPoly]:
-    """Dense coefficient list of p viewed in one variable.
-
-    Entry k is the coefficient of name**k, an ExactPoly over the same
-    VarSet with zero exponent in that variable.  The zero polynomial
-    yields an empty list.
-    """
-    if p.is_zero():
-        return []
-    i = p.vars.index(name)
-    deg = max(e[i] for e in p.num)
-    buckets: list[dict[Exponents, int]] = [{} for _ in range(deg + 1)]
-    for exps, coeff in p.num.items():
-        new = list(exps)
-        k = new[i]
-        new[i] = 0
-        buckets[k][tuple(new)] = coeff
-    return [ExactPoly._from_ints(p.vars, b, p.den) for b in buckets]
-
+# -- dense univariate views ----------------------------------------------------
 
 def _from_dense(vars: VarSet, i: int | None, coeffs: list[int], den: int) -> ExactPoly:
     """sum(coeffs[k] * v**k) / den for the variable v of index i; den > 0.
@@ -825,10 +779,8 @@ def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
 
 
 def _zprem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """Pseudo-remainder lc(g)**(deg f - deg g + 1) * f mod g."""
+    """Pseudo-remainder lc(g)**(deg f - deg g + 1) * f mod g, for deg f >= deg g."""
     df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return list(f)
     r = list(f)
     steps = df - dg + 1
     lc_g = g[-1]
@@ -932,51 +884,6 @@ def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
     g = _integer_coeffs(q, i, j)
     res = _integer_resultant(f, g)
     return _from_dense(vars, j, res, p.den ** (len(g) - 1) * q.den ** (len(f) - 1))
-
-
-def sylvester_resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
-    """Resultant as the Sylvester determinant (cross-check path, small degrees)."""
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant of a zero polynomial is undefined")
-    p._check_same_vars(q)
-    vars = p.vars
-    f = univariate_coeffs(p, name)
-    g = univariate_coeffs(q, name)
-    n, m = len(f) - 1, len(g) - 1
-    size = n + m
-    if size == 0:
-        return ExactPoly.const(vars, 1)
-    zero = ExactPoly.zero(vars)
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for k, coeff in enumerate(reversed(f)):
-            row[i + k] = coeff
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for k, coeff in enumerate(reversed(g)):
-            row[i + k] = coeff
-        rows.append(row)
-
-    # Fraction-free Bareiss determinant over the polynomial ring.
-    sign = 1
-    prev = ExactPoly.const(vars, 1)
-    for k in range(size - 1):
-        pivot_row = next((i for i in range(k, size) if not rows[i][k].is_zero()), None)
-        if pivot_row is None:
-            return zero
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = exact_divide(pivot * rows[i][j] - rows[i][k] * rows[k][j], prev)
-            rows[i][k] = zero
-        prev = pivot
-    det = rows[size - 1][size - 1]
-    return det if sign == 1 else -det
 
 
 # -- univariate gcd and squarefree test --------------------------------------

@@ -21,6 +21,14 @@ def random_poly(rng: random.Random, degree: int, bound: int = 6,
     return ExactPoly(XY, terms)
 
 
+def dof_enumerated(a: int, m: int) -> int:
+    """Brute-force oracle for counting.dof: direct enumeration of ((h,i),(j,k,p,q))."""
+    monomials = sum(1 for h in range(a + 1) for i in range(a + 1) if h + i <= a)
+    tuples = sum(1 for j in range(m + 1) for k in range(m + 1) for p in range(m + 1)
+                 if j + k + p <= m)
+    return monomials * tuples
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20120607)

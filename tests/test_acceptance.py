@@ -15,7 +15,6 @@ from jetdiff.counting import (
     constraint_bound,
     cubic_value,
     dof,
-    dof_enumerated,
     euler_characteristic,
     minimal_admissible_d,
 )
@@ -40,6 +39,7 @@ from jetdiff.surfacecharts import (
     verify_derivative_transfer,
     verify_infinity_exponents,
 )
+from conftest import dof_enumerated
 
 
 @contextmanager

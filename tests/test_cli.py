@@ -22,6 +22,13 @@ R = x^3 + y^3 + x - 1
 S = x^3 + y^3 + x - 1
 """
 
+# R is linear, so R_x and R_y are constant curves: every check on them is
+# inconclusive, and no check fails
+LINEAR_R_SURFACE = """\
+R = x + 2*y + 3
+S = x^2 + 3*x*y - y^2 + x - 5*y + 7
+"""
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -48,6 +55,13 @@ def degenerate_surface_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def linear_r_surface_file(tmp_path):
+    path = tmp_path / "linear.txt"
+    path.write_text(LINEAR_R_SURFACE)
+    return str(path)
+
+
 class TestAudit:
     def test_generic_pair_passes(self, capsys, generic_surface_file):
         code, body = run_cli(capsys, ["audit", "--surface", generic_surface_file])
@@ -60,6 +74,17 @@ class TestAudit:
         assert code == 1
         failing = [c for c in body["checks"] if c["verdict"] != "pass"]
         assert failing and any(c["witness"] for c in failing)
+        jsonschema.validate(body, load_schema("audit.schema.json"))
+
+    def test_constant_curves_are_inconclusive(self, capsys, linear_r_surface_file):
+        code, body = run_cli(capsys, ["audit", "--surface", linear_r_surface_file])
+        assert code == 2 and body["verdict"] == "inconclusive"
+        open_checks = [c for c in body["checks"] if c["verdict"] != "pass"]
+        assert open_checks
+        for check in open_checks:
+            assert check["verdict"] == "inconclusive"
+            assert check["witness"] == "constant curve"
+            assert {"Rx", "Ry"} & set(check["name"].split("_")[1:])
         jsonschema.validate(body, load_schema("audit.schema.json"))
 
     def test_missing_file(self, capsys, tmp_path):
@@ -126,6 +151,28 @@ class TestAudit:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("text,message", [
+        ("R x^2 + y^2 + 1\nS = x^2 + y^2 - 1\n", "expected `R = ...`"),
+        ("T = x^2 + y^2 + 1\nS = x^2 + y^2 - 1\n", "unknown lhs 'T'"),
+        ("R = x^2 + y^2 + 1\nR = x^2 + y^2\nS = x^2 + y^2 - 1\n", "duplicate definition of R"),
+        ("R = x^2 + y^2 + 1\n", "missing definition of S"),
+        # "²" is a digit to str.isdigit() but not to int()
+        ("R = x^\u00b2 + y^2 + 1\nS = x^2 + y^2 - 1\n", "unexpected character"),
+    ])
+    def test_malformed_surface_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        code, body = run_cli(capsys, ["audit", "--surface", str(path)])
+        assert code == 3 and list(body) == ["error"] and message in body["error"]
+
+    def test_verbose_logs_only_to_stderr(self, capsys, generic_surface_file):
+        main(["audit", "--surface", generic_surface_file])
+        quiet = capsys.readouterr()
+        main(["-v", "audit", "--surface", generic_surface_file])
+        verbose = capsys.readouterr()
+        assert quiet.err == "" and "auditing surface" in verbose.err
+        assert verbose.out == quiet.out
+
 
 class TestSolve:
     def test_c_zero_dimension_is_dof(self, capsys, generic_surface_file):
@@ -156,6 +203,13 @@ class TestSolve:
         code, body = run_cli(capsys, ["solve", "--surface", degenerate_surface_file,
                                       "--m", "1", "--c", "1", "--a", "1"])
         assert code == 1 and "error" in body
+
+    def test_gate_inconclusive_on_constant_curves(self, capsys, linear_r_surface_file):
+        code, body = run_cli(capsys, ["solve", "--surface", linear_r_surface_file,
+                                      "--m", "1", "--c", "1", "--a", "0"])
+        assert code == 2 and "rerun with --force" in body["error"]
+        assert body["audit"]["verdict"] == "inconclusive"
+        assert "dimension" not in body
 
     def test_force_skips_gate(self, capsys, degenerate_surface_file):
         code, body = run_cli(capsys, ["solve", "--surface", degenerate_surface_file,
@@ -267,6 +321,26 @@ class TestCountAndChi:
     def test_bad_parameters(self, capsys):
         code, body = run_cli(capsys, ["count", "--d", "0", "--e", "5"])
         assert code == 3
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--m", "x", "--c", "1", "--a", "0"], "invalid int value: 'x'"),
+        (["solve", "--m", "0", "--c", "1", "--a", "0", "--force"], "jet order m must be >= 1"),
+        (["chi", "--d", "4", "--e", "5", "--m", "-1"], "requires d, e >= 1 and m >= 0"),
+    ])
+    def test_bad_flag_values(self, capsys, generic_surface_file, argv, message):
+        if argv[0] == "solve":
+            argv = [*argv, "--surface", generic_surface_file]
+        code, body = run_cli(capsys, argv)
+        assert code == 3 and list(body) == ["error"] and message in body["error"]
+
+    def test_env_seed_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("JETDIFF_SEED", "abc")
+        code, body = run_cli(capsys, ["verify", "--transfer", "--deg", "1",
+                                      "--trials", "1"])
+        assert code == 3 and list(body) == ["error"]
+        assert "JETDIFF_SEED must be an integer" in body["error"]
 
 
 class TestOutputFile:

@@ -13,12 +13,12 @@ from jetdiff.counting import (
     cubic_value,
     dimension_lower_bound,
     dof,
-    dof_enumerated,
     dof_lower_bound,
     e_upper_bound,
     euler_characteristic,
     minimal_admissible_d,
 )
+from conftest import dof_enumerated
 
 
 class TestDof:

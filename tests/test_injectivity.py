@@ -17,6 +17,7 @@ from jetdiff.injectivity import (
 from jetdiff.jetbuilder import (
     JET_VARS,
     XY,
+    CoefficientField,
     JetSpec,
     SurfacePair,
     build_jet,
@@ -125,6 +126,21 @@ class TestInjectivityTheorem:
         assert witness is not None
         jet = build_jet(witness, degenerate, JetSpec(m=1, c=0, a=1))
         assert jet.is_zero()
+        # the report's witness reads back as the same field
+        body = result.to_json_dict()
+        assert body["verdict"] == "kernel" and body["hypotheses_verified"] is False
+        parsed = CoefficientField.from_json_dict(body["kernel_witness"])
+        assert parsed.entries == witness.entries
+        assert build_jet(parsed, degenerate, JetSpec(m=1, c=0, a=1)).is_zero()
+
+    def test_runs_its_own_audit_when_none_given(self):
+        rng = random.Random(83)
+        surf, _ = random_generic_surface(rng, 2, 2, audit_seed=321)
+        result = analyze_injectivity(surf, 1, 0, seed=321)
+        assert result.hypotheses_verified and result.injective
+        r = random_surface_pair(random.Random(73), 3, 3).r
+        with pytest.raises(GenericityGateError):
+            analyze_injectivity(SurfacePair(r, r), 1, 1)
 
     def test_asymmetric_degrees(self):
         rng = random.Random(131)

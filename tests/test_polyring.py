@@ -14,7 +14,6 @@ from jetdiff.polyring import (
     ExactPoly,
     ParseError,
     VarSet,
-    exact_divide,
     gcd_univariate,
     monomial_quotient,
     poly_diff,
@@ -23,8 +22,6 @@ from jetdiff.polyring import (
     rational_roots,
     resultant,
     squarefree_univariate,
-    sylvester_resultant,
-    univariate_coeffs,
 )
 from conftest import random_poly
 
@@ -90,6 +87,88 @@ def reference_gcd(p, q, name):
         exps[i] = k
         out[tuple(exps)] = c / a[-1]
     return ExactPoly(p.vars, out)
+
+
+def exact_divide(p, q):
+    """Exact polynomial division p / q; raises ValueError if q does not divide p."""
+    if p.vars != q.vars:
+        raise ValueError("variable-set mismatch")
+    if q.is_zero():
+        raise ValueError("division by the zero polynomial")
+    if p.is_zero():
+        return p
+    q_lead, q_coeff = q.leading_term()
+    quotient = {}
+    rem = p
+    while not rem.is_zero():
+        r_lead, r_coeff = rem.leading_term()
+        exps = tuple(a - b for a, b in zip(r_lead, q_lead))
+        if any(e < 0 for e in exps):
+            raise ValueError("inexact polynomial division")
+        coeff = r_coeff / q_coeff
+        quotient[exps] = quotient.get(exps, Fraction(0)) + coeff
+        rem = rem - q.shift(exps).scale(coeff)
+    return ExactPoly(p.vars, quotient)
+
+
+def univariate_coeffs(p, name):
+    """Dense coefficient list of p viewed in one variable.
+
+    Entry k is the coefficient of name**k, an ExactPoly over the same
+    VarSet with zero exponent in that variable.  The zero polynomial
+    yields an empty list.
+    """
+    i = p.vars.index(name)
+    buckets = [{} for _ in range(max((e[i] for e in p.terms), default=-1) + 1)]
+    for exps, coeff in p.terms.items():
+        buckets[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = coeff
+    return [ExactPoly(p.vars, b) for b in buckets]
+
+
+def sylvester_resultant(p, q, name):
+    """Resultant as the Sylvester determinant, by fraction-free Bareiss
+    elimination over the polynomial ring (reference for `resultant`)."""
+    if p.is_zero() or q.is_zero():
+        raise ValueError("resultant of a zero polynomial is undefined")
+    if p.vars != q.vars:
+        raise ValueError("variable-set mismatch")
+    vars = p.vars
+    f = univariate_coeffs(p, name)
+    g = univariate_coeffs(q, name)
+    n, m = len(f) - 1, len(g) - 1
+    size = n + m
+    if size == 0:
+        return ExactPoly.const(vars, 1)
+    zero = ExactPoly.zero(vars)
+    rows = []
+    for i in range(m):
+        row = [zero] * size
+        for k, coeff in enumerate(reversed(f)):
+            row[i + k] = coeff
+        rows.append(row)
+    for i in range(n):
+        row = [zero] * size
+        for k, coeff in enumerate(reversed(g)):
+            row[i + k] = coeff
+        rows.append(row)
+
+    sign = 1
+    prev = ExactPoly.const(vars, 1)
+    for k in range(size - 1):
+        pivot_row = next((i for i in range(k, size) if not rows[i][k].is_zero()), None)
+        if pivot_row is None:
+            return zero
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = exact_divide(pivot * rows[i][j] - rows[i][k] * rows[k][j], prev)
+            rows[i][k] = zero
+        prev = pivot
+    det = rows[size - 1][size - 1]
+    return det if sign == 1 else -det
 
 
 def rationals(max_den=12):
@@ -164,6 +243,25 @@ class TestParsing:
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
             poly_parse("x + w", XY)
+
+    def test_non_decimal_digits_refused(self):
+        # "²" is a digit to str.isdigit() but not to int()
+        for text, position in (("x^²", 2), ("²*x", 0), ("1²", 1)):
+            with pytest.raises(ParseError, match="unexpected character") as err:
+                poly_parse(text, XY)
+            assert err.value.position == position
+        assert poly_parse("٣*x", XY) == X.scale(3)
+
+    @PROPERTY
+    @given(st.text(st.sampled_from("xy0123456789+-*^/()_' ")
+                   | st.characters(whitelist_categories=("Nd", "Nl", "No"))
+                   | st.characters(whitelist_categories=("L", "Zs")),
+                   max_size=24))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            poly_parse(text, XY)
+        except ParseError:
+            pass
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
