@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .counting import chi_cross_check_2_3, count_report, e_upper_bound, euler_characteristic
 from .divisibility import (
@@ -54,20 +53,6 @@ class CliInputError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise CliInputError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; the seed defaults to a fixed constant."""
-
-    seed: int
-    out: str | None
-    verbosity: int
-    args: argparse.Namespace
-
-    def log(self, message: str) -> None:
-        if self.verbosity:
-            print(message, file=sys.stderr)
 
 
 def _default_seed() -> int:
@@ -114,21 +99,28 @@ def load_surface_file(path: str) -> SurfacePair:
 
 
 def _write_atomically(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same directory."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".jetdiff-")
+    """Write text to path through a temporary file in the same directory.
+
+    Any OS error becomes an input error, and the temporary file never stays.
+    """
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                        prefix=".jetdiff-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except OSError as exc:
+        raise CliInputError(f"cannot write output path {path!r}: {exc}") from exc
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
 
 
 def _check_output_path(path: str) -> None:
     """Refuse an output path that cannot be written, before any work is done."""
+    if not path:
+        raise CliInputError("output path must not be empty")
     if os.path.isdir(path):
         raise CliInputError(f"output path {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -147,19 +139,27 @@ def _surface_json(surf: SurfacePair) -> dict:
     return {"R": str(surf.r), "S": str(surf.s), "d": surf.d, "e": surf.e}
 
 
+def _log(args: argparse.Namespace, message: str) -> None:
+    if args.verbose:
+        print(message, file=sys.stderr)
+
+
+def _verdict_code(verdict: str) -> int:
+    """The exit code of an audit verdict: pass 0, fail 1, anything else 2."""
+    return {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
+
+
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_audit(config: RunConfig) -> tuple[int, dict]:
-    surf = load_surface_file(config.args.surface)
-    config.log(f"auditing surface with d={surf.d}, e={surf.e}, seed={config.seed}")
-    report = full_genericity_audit(surf, seed=config.seed)
+def cmd_audit(args: argparse.Namespace) -> tuple[int, dict]:
+    surf = load_surface_file(args.surface)
+    _log(args, f"auditing surface with d={surf.d}, e={surf.e}, seed={args.seed}")
+    report = full_genericity_audit(surf, seed=args.seed)
     body = {"command": "audit", "surface": _surface_json(surf), **report.to_json_dict()}
-    code = {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
-    return code, body
+    return _verdict_code(report.verdict), body
 
 
-def cmd_solve(config: RunConfig) -> tuple[int, dict]:
-    args = config.args
+def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     surf = load_surface_file(args.surface)
     try:
         spec = JetSpec(m=args.m, c=args.c, a=args.a)
@@ -174,15 +174,15 @@ def cmd_solve(config: RunConfig) -> tuple[int, dict]:
     body: dict = {"command": "solve", "surface": _surface_json(surf),
                   "m": spec.m, "c": spec.c, "a": spec.a, "forced": bool(args.force)}
     if not args.force:
-        audit = full_genericity_audit(surf, seed=config.seed)
+        audit = full_genericity_audit(surf, seed=args.seed)
         body["audit"] = audit.to_json_dict()
         if not audit.passed:
             body["error"] = "genericity audit did not pass; rerun with --force"
-            return (EXIT_FAIL if audit.verdict == "fail" else EXIT_INCONCLUSIVE), body
-    config.log(f"assembling the divisibility system at m={spec.m}, c={spec.c}, a={spec.a}")
+            return _verdict_code(audit.verdict), body
+    _log(args, f"assembling the divisibility system at m={spec.m}, c={spec.c}, a={spec.a}")
     system = assemble_divisibility_system(surf, spec)
     basis = kernel_basis(system)
-    config.log(f"kernel dimension {len(basis)}; certifying basis vectors")
+    _log(args, f"kernel dimension {len(basis)}; certifying basis vectors")
     certificates = [build_section(surf, spec, vector) for vector in basis]
     body.update({
         "columns": len(system.columns),
@@ -192,38 +192,34 @@ def cmd_solve(config: RunConfig) -> tuple[int, dict]:
         "kernel": kernel_to_json(system, basis),
         "certificates": [cert.to_json_dict() for cert in certificates],
     })
-    if args.matrix_out:
+    if args.matrix_out is not None:
         _write_atomically(args.matrix_out, system.to_triplet_text())
         body["matrix_out"] = args.matrix_out
     return EXIT_PASS, body
 
 
-def _verify_injectivity_suite(args, seed: int) -> dict:
+def _verify_injectivity_suite(args: argparse.Namespace) -> dict:
     d, e, m, a = args.d, args.e, args.m, args.injectivity_a
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     runs = []
-    all_ok = True
     for index in range(args.surfaces):
-        surf, audit = random_generic_surface(rng, d, e, audit_seed=seed + index)
+        surf, audit = random_generic_surface(rng, d, e, audit_seed=args.seed + index)
         result = analyze_injectivity(surf, m, a, audit=audit)
         runs.append({"surface": _surface_json(surf), **result.to_json_dict()})
-        all_ok = all_ok and result.injective
     return {"name": "injectivity", "config": {"d": d, "e": e, "m": m, "a": a,
                                               "surfaces": args.surfaces},
-            "passed": all_ok, "runs": runs}
+            "passed": all(run["verdict"] == "injective" for run in runs), "runs": runs}
 
 
-def _verify_transfer_suite(args, seed: int) -> dict:
-    rng = random.Random(seed)
+def _verify_transfer_suite(args: argparse.Namespace) -> dict:
+    rng = random.Random(args.seed)
     degrees = [args.deg] if args.deg is not None else list(range(1, 7))
     runs = []
-    all_ok = True
     for degree in degrees:
         for _ in range(args.trials):
             r = random_dense_polynomial(rng, degree)
             for chart in CHARTS:
                 ok = verify_derivative_transfer(r, degree, chart)
-                all_ok = all_ok and ok
                 runs.append({"kind": "derivative", "degree": degree, "chart": chart,
                              "identity": "pass" if ok else "fail"})
         # the complete transferred differential, with its factored prefactor
@@ -232,30 +228,27 @@ def _verify_transfer_suite(args, seed: int) -> dict:
         spec = JetSpec(m=1, c=5, a=1)
         for chart in CHARTS:
             result = full_chart_transfer(field, surf, spec, chart)
-            all_ok = all_ok and result.identity_ok
             runs.append({"kind": "full", "degree": degree, "chart": chart,
                          "identity": "pass" if result.identity_ok else "fail",
                          "prefactor_exponent": result.prefactor_exponent,
                          "residual_min": result.residual_min})
     return {"name": "transfer", "config": {"degrees": degrees, "trials": args.trials},
-            "passed": all_ok, "runs": runs}
+            "passed": all(run["identity"] == "pass" for run in runs), "runs": runs}
 
 
-def _verify_restriction_suite(args, seed: int) -> dict:
+def _verify_restriction_suite(args: argparse.Namespace) -> dict:
     d, e, m, a = args.d, args.e, args.m, args.restriction_a
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     runs = []
-    all_ok = True
     for _ in range(args.trials):
         surf = random_surface_pair(rng, d, e)
         field = random_coefficient_field(rng, m, a)
         spec = JetSpec(m=m, c=0, a=a)
         _, exact = restrict_to_surface(field, surf, spec)
-        all_ok = all_ok and exact
         runs.append({"surface": _surface_json(surf), "exact": exact})
     return {"name": "restriction", "config": {"d": d, "e": e, "m": m, "a": a,
                                               "trials": args.trials},
-            "passed": all_ok, "runs": runs}
+            "passed": all(run["exact"] for run in runs), "runs": runs}
 
 
 def _resolve_verify_flags(args: argparse.Namespace) -> argparse.Namespace:
@@ -287,20 +280,20 @@ def _resolve_verify_flags(args: argparse.Namespace) -> argparse.Namespace:
                                  "restriction_a": restriction_a})
 
 
-def cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    args = _resolve_verify_flags(config.args)
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
+    args = _resolve_verify_flags(args)
     suites = []
     if args.injectivity:
-        suites.append(_verify_injectivity_suite(args, config.seed))
+        suites.append(_verify_injectivity_suite(args))
     if args.transfer:
-        suites.append(_verify_transfer_suite(args, config.seed))
+        suites.append(_verify_transfer_suite(args))
     if args.restriction:
-        suites.append(_verify_restriction_suite(args, config.seed))
+        suites.append(_verify_restriction_suite(args))
     if not suites:
         raise CliInputError("verify requires at least one of "
                             "--injectivity/--transfer/--restriction")
     all_ok = all(s["passed"] for s in suites)
-    body = {"command": "verify", "seed": config.seed, "suites": suites, "passed": all_ok}
+    body = {"command": "verify", "seed": args.seed, "suites": suites, "passed": all_ok}
     return (EXIT_PASS if all_ok else EXIT_FAIL), body
 
 
@@ -311,8 +304,7 @@ def _chi_cross_check_json() -> dict:
             "agrees": cross.agrees}
 
 
-def cmd_count(config: RunConfig) -> tuple[int, dict]:
-    args = config.args
+def cmd_count(args: argparse.Namespace) -> tuple[int, dict]:
     try:
         report = count_report(args.d, args.e, m=args.m, a=args.a, c=args.c)
     except ValueError as exc:
@@ -325,8 +317,7 @@ def cmd_count(config: RunConfig) -> tuple[int, dict]:
     return EXIT_PASS, body
 
 
-def cmd_chi(config: RunConfig) -> tuple[int, dict]:
-    args = config.args
+def cmd_chi(args: argparse.Namespace) -> tuple[int, dict]:
     try:
         value = euler_characteristic(args.d, args.e, args.m)
         mirrored = euler_characteristic(args.e, args.d, args.m)
@@ -401,19 +392,12 @@ def build_parser() -> _ArgumentParser:
     p_chi.add_argument("--e", type=int, required=True)
     p_chi.add_argument("--m", type=int, required=True)
 
-    for sub_parser in (p_audit, p_solve, p_verify, p_count, p_chi):
+    for sub_parser, run in ((p_audit, cmd_audit), (p_solve, cmd_solve),
+                            (p_verify, cmd_verify), (p_count, cmd_count), (p_chi, cmd_chi)):
         _add_common_flags(sub_parser, suppress=True)
+        sub_parser.set_defaults(run=run)
 
     return parser
-
-
-_COMMANDS = {
-    "audit": cmd_audit,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "count": cmd_count,
-    "chi": cmd_chi,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -423,13 +407,13 @@ def main(argv: list[str] | None = None) -> int:
         for path in (args.out, getattr(args, "matrix_out", None)):
             if path is not None:
                 _check_output_path(path)
-        seed = args.seed if args.seed is not None else _default_seed()
-        config = RunConfig(seed=seed, out=args.out, verbosity=args.verbose, args=args)
-        code, body = _COMMANDS[args.command](config)
+        if args.seed is None:
+            args.seed = _default_seed()
+        code, body = args.run(args)
+        _emit(body, args.out)
     except CliInputError as exc:
         _emit({"error": str(exc)}, None)
         return EXIT_INPUT_ERROR
-    _emit(body, config.out)
     return code
 
 

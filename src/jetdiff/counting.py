@@ -191,6 +191,8 @@ def count_report(d: int, e: int, m: int | None = None, a: int | None = None,
         c = d
     if m < 1:
         raise ValueError("count_report requires m >= 1")
+    if c < 0:
+        raise ValueError("count_report requires c >= 0")
     report = CountReport(
         d=d, e=e, m=m, a=a, c=c,
         dof=dof(a, m),

@@ -50,7 +50,7 @@ from .jetbuilder import (
     index_tuples,
     monomials_upto,
 )
-from .polyring import ExactPoly
+from .polyring import ExactPoly, PowerCache
 from .sampling import random_small_polynomial
 
 
@@ -149,13 +149,14 @@ def verify_injectivity_theorem(surf: SurfacePair, m: int, a: int,
 
 def rx_sx_matrix(surf: SurfacePair, m: int) -> linalg.SparseMatrix:
     """Matrix of (A[p,q]) -> sum A[p,q] R_x^p S_x^q R^(m-p) S^(m-q), deg A <= d-1."""
-    ctx = JetContext(surf)
+    rx, _, sx, _ = surf.partials()
+    pow_r, pow_s, pow_rx, pow_sx = map(PowerCache, (surf.r, surf.s, rx, sx))
     shifts = list(monomials_upto(surf.d - 1))
     columns: list[tuple] = []
     groups: list[tuple[ExactPoly, list[tuple]]] = []
     for p in range(m + 1):
         for q in range(m + 1 - p):
-            base = ctx.pow_rx[p] * ctx.pow_sx[q] * ctx.pow_r[m - p] * ctx.pow_s[m - q]
+            base = pow_rx[p] * pow_sx[q] * pow_r[m - p] * pow_s[m - q]
             columns.extend((p, q) + shift for shift in shifts)
             groups.append((base, shifts))
     return _matrix_from_shifts(columns, groups)
@@ -208,7 +209,8 @@ def triangular_reduction_check(surf: SurfacePair, m: int,
     if m > 3:
         raise ValueError("desk-scale check: m <= 3")
     rng = random.Random(seed)
-    ctx = JetContext(surf)
+    rx, _, sx, _ = surf.partials()
+    pow_r, pow_s, pow_rx, pow_sx = map(PowerCache, (surf.r, surf.s, rx, sx))
     for k_prime in range(1, m + 1):
         entries = {t: random_small_polynomial(rng, a)
                    for t in index_tuples(m) if t[1] >= k_prime}
@@ -222,9 +224,9 @@ def triangular_reduction_check(surf: SurfacePair, m: int,
                 a_poly = field.entries[(j, k_prime, p1, q1)]
                 if a_poly.is_zero():
                     continue
-                reduced = reduced + (a_poly * ctx.pow_rx[p1] * ctx.pow_sx[q1]
-                                     * ctx.pow_r[m - k_prime - p1] * ctx.pow_s[m - k_prime - q1])
-        rhs = ctx.pow_r[k_prime] * ctx.pow_s[k_prime] * reduced
+                reduced = reduced + (a_poly * pow_rx[p1] * pow_sx[q1]
+                                     * pow_r[m - k_prime - p1] * pow_s[m - k_prime - q1])
+        rhs = pow_r[k_prime] * pow_s[k_prime] * reduced
         if lhs != rhs:
             return False
     return True

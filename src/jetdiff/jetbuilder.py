@@ -216,27 +216,18 @@ class LambdaExpansion:
 
 
 class JetContext:
-    """Cached per-surface powers shared by repeated jet constructions.
+    """Cached powers of the six slots of a jet construction.
 
-    The plane caches hold the powers of R, S and their partials in (x, y),
-    which expand_lambda multiplies out.  The six slot caches hold the powers
-    of the images of x', y', R, R', S, S' in one target ring; by default
-    the tautological images in (x, y, x', y'), where realize gives J.  Other
-    slot values realise the same sum after a change of jet chart: on the
-    surface (surfacecharts.restrict_to_surface) or at infinity
-    (surfacecharts.full_chart_transfer).
+    The slot caches hold the powers of the images of x', y', R, R', S, S' in
+    one target ring; by default the tautological images in (x, y, x', y'),
+    where realize gives J.  Other slot values realise the same sum after a
+    change of jet chart: on the surface (surfacecharts.restrict_to_surface)
+    or at infinity (surfacecharts.full_chart_transfer).
     """
 
     def __init__(self, surf: SurfacePair, slots: tuple[ExactPoly, ...] | None = None):
-        self.surf = surf
-        rx, ry, sx, sy = surf.partials()
-        self.pow_r = PowerCache(surf.r)
-        self.pow_s = PowerCache(surf.s)
-        self.pow_rx = PowerCache(rx)
-        self.pow_ry = PowerCache(ry)
-        self.pow_sx = PowerCache(sx)
-        self.pow_sy = PowerCache(sy)
         if slots is None:
+            rx, ry, sx, sy = surf.partials()
             xp = ExactPoly.variable(JET_VARS, "x'")
             yp = ExactPoly.variable(JET_VARS, "y'")
             slots = (xp, yp,
@@ -288,7 +279,8 @@ def build_jet(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> Exac
 def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> LambdaExpansion:
     """The (alpha, beta) coefficients of J, computed by direct reindexation."""
     validate_field(field, spec)
-    ctx = JetContext(surf)
+    pow_r, pow_s, pow_rx, pow_ry, pow_sx, pow_sy = map(
+        PowerCache, (surf.r, surf.s, *surf.partials()))
     m = spec.m
     entries: dict[tuple[int, int], ExactPoly] = {}
     for alpha in range(m + 1):
@@ -304,9 +296,8 @@ def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> 
                         if a_poly.is_zero():
                             continue
                         weight = comb(p1 + p2, p1) * comb(q1 + q2, q1)
-                        term = (ctx.pow_rx[p1] * ctx.pow_ry[p2]
-                                * ctx.pow_sx[q1] * ctx.pow_sy[q2]
-                                * ctx.pow_r[m - p1 - p2] * ctx.pow_s[m - q1 - q2])
+                        term = (pow_rx[p1] * pow_ry[p2] * pow_sx[q1] * pow_sy[q2]
+                                * pow_r[m - p1 - p2] * pow_s[m - q1 - q2])
                         acc = acc + (a_poly * term).scale(weight)
         entries[(alpha, beta)] = acc
     return LambdaExpansion(m, entries)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from importlib import resources
@@ -322,6 +323,11 @@ class TestCountAndChi:
         code, body = run_cli(capsys, ["count", "--d", "0", "--e", "5"])
         assert code == 3
 
+    def test_count_refuses_negative_c(self, capsys):
+        # solve refuses c < 0 through JetSpec; count must agree
+        code, body = run_cli(capsys, ["count", "--d", "5", "--e", "5", "--c", "-3"])
+        assert code == 3 and list(body) == ["error"] and "c >= 0" in body["error"]
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv,message", [
@@ -376,8 +382,83 @@ class TestOutputFile:
         assert code == 3 and "does not exist" in body["error"]
         assert not (tmp_path / "missing").exists()
 
+    def test_empty_out_is_refused(self, capsys, monkeypatch, tmp_path):
+        # the temporary file of an empty path would go to the parent of the
+        # working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, body = run_cli(capsys, ["chi", "--d", "3", "--e", "3", "--m", "1", "--out", ""])
+        assert code == 3 and list(body) == ["error"] and "empty" in body["error"]
+        assert list(tmp_path.iterdir()) == [work] and not list(work.iterdir())
+
+    def test_empty_matrix_out_is_refused_before_work(self, capsys, monkeypatch,
+                                                    generic_surface_file):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the system was assembled before the output check")
+
+        monkeypatch.setattr("jetdiff.cli.assemble_divisibility_system", no_solve)
+        code, body = run_cli(capsys, ["solve", "--surface", generic_surface_file,
+                                      "--m", "1", "--c", "1", "--a", "0", "--force",
+                                      "--matrix-out", ""])
+        assert code == 3 and list(body) == ["error"] and "empty" in body["error"]
+
+    def test_unwritable_name_is_an_input_error(self, capsys, tmp_path):
+        # passes the pre-flight check; os.replace refuses the 300-byte name
+        out = tmp_path / ("a" * 300)
+        code, body = run_cli(capsys, ["--out", str(out), "chi", "--d", "3", "--e", "3",
+                                      "--m", "1"])
+        assert code == 3 and list(body) == ["error"] and "cannot write" in body["error"]
+        assert not list(tmp_path.iterdir())
+
+    def test_temporary_file_failure_is_an_input_error(self, capsys, monkeypatch, tmp_path):
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("tempfile.mkstemp", no_space)
+        code, body = run_cli(capsys, ["--out", str(tmp_path / "report.json"),
+                                      "count", "--d", "5", "--e", "5"])
+        assert code == 3 and list(body) == ["error"] and "No space left" in body["error"]
+        assert not list(tmp_path.iterdir())
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("JETDIFF_SEED", "31")
         code, body = run_cli(capsys, ["verify", "--transfer", "--deg", "1",
                                       "--trials", "1"])
         assert code == 0 and body["seed"] == 31
+
+
+# SHA-256 of stdout and the exit code of reports the benchmark digests do not
+# cover, run with JETDIFF_SEED unset; "{surface}" names a file holding
+# GOLDEN_SURFACE, whose gated solve fails the audit
+GOLDEN_SURFACE = "R = x^2 + y^2 + 1\nS = x^3 + y^3 + x + 2\n"
+GOLDEN = [
+    (["verify", "--restriction"], 0,
+     "43c37fc7f9959b670bc78ee9fb935bae2771d35cbb3d21ccd5b134d22bf08d41"),
+    (["verify", "--restriction", "--d", "4", "--m", "2", "--trials", "3"], 0,
+     "de15ef7d1ba292ac694d1af71423e9c22162fb92a314395aa0c4ac1c94965632"),
+    (["count", "--d", "13", "--e", "13"], 0,
+     "cd85177d04bbfeb7045969fec4ccfc04ee52cddd3dde5e4d4e79b17b75ebff33"),
+    (["chi", "--d", "3", "--e", "4", "--m", "2"], 0,
+     "1bb508e26885e7b8beada0cf4724a863704b8b48ad0d366acef4429a5f26810d"),
+    (["solve", "--surface", "{surface}", "--m", "1", "--c", "4", "--a", "1",
+      "--require-infinity"], 4,
+     "94d07dac6b569fdc8a390831b3486cb6a5c2a91c26666874838fa7c17e7f9c51"),
+    (["solve", "--surface", "{surface}", "--m", "1", "--c", "5", "--a", "1"], 1,
+     "288c7efaeced9cb341cd6b379be24a2f50e77081c8575094d5746bae141b28b3"),
+    (["verify", "--injectivity", "--d", "3", "--m", "1", "--surfaces", "2",
+      "--seed", "7"], 0,
+     "05b16c4f7cf0b128ff062fe7d1d404d06bf5818b6d1cdd886118e609ef96e4d9"),
+    (["-v", "--seed", "3", "verify", "--transfer", "--trials", "2"], 0,
+     "29c2906f709745d446baf20d6bb9719b383eed9f717b974811abe3b9f2908291"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_golden_report(capsys, monkeypatch, tmp_path, argv, code, digest):
+    monkeypatch.delenv("JETDIFF_SEED", raising=False)
+    surface = tmp_path / "surface.txt"
+    surface.write_text(GOLDEN_SURFACE)
+    assert main([arg.format(surface=surface) for arg in argv]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

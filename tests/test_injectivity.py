@@ -21,6 +21,7 @@ from jetdiff.jetbuilder import (
     JetSpec,
     SurfacePair,
     build_jet,
+    expand_lambda,
     index_tuples,
     monomials_upto,
 )
@@ -232,3 +233,20 @@ class TestTriangularReduction:
         surf = random_surface_pair(rng, 2, 2)
         with pytest.raises(ValueError):
             triangular_reduction_check(surf, 4)
+
+    def test_runs_without_the_jet_context(self, monkeypatch):
+        # the expansion route is the independent check of build_jet, so it
+        # must not read JetContext's caches
+        rng = random.Random(131)
+        surf = random_surface_pair(rng, 2, 3)
+        spec = JetSpec(m=2, c=0, a=1)
+        field = random_coefficient_field(rng, 2, 1)
+        expected = build_jet(field, surf, spec)
+
+        def no_context(*args, **kwargs):
+            raise AssertionError("JetContext built on the expansion route")
+
+        monkeypatch.setattr("jetdiff.jetbuilder.JetContext", no_context)
+        monkeypatch.setattr("jetdiff.injectivity.JetContext", no_context)
+        assert expand_lambda(field, surf, spec).reconstruct() == expected
+        assert triangular_reduction_check(surf, 2)
