@@ -404,9 +404,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for path in (args.out, getattr(args, "matrix_out", None)):
-            if path is not None:
-                _check_output_path(path)
+        outputs = [path for path in (args.out, getattr(args, "matrix_out", None))
+                   if path is not None]
+        for path in outputs:
+            _check_output_path(path)
+        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+            raise CliInputError("--out and --matrix-out name the same file")
         if args.seed is None:
             args.seed = _default_seed()
         code, body = args.run(args)

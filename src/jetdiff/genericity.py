@@ -12,7 +12,10 @@ deg(p)*deg(q) and is squarefree; shears x -> x + s*y with seeded rational s
 (numerator and denominator bounded by 97) separate accidental coincidences
 of x-coordinates.  Failures are declared only on an algebraic witness; a
 degeneracy that survives every attempted shear without a verified witness
-is reported as inconclusive, never silently passed.
+is reported as inconclusive, never silently passed.  The pass verdicts of
+the gcd-based checks may be proved by a gcd of degree 0 modulo a prime (see
+``polyring.gcd_univariate``); fail and inconclusive verdicts, and their
+witnesses, always come from the exact remainder sequence.
 """
 
 from __future__ import annotations

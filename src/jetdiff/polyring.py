@@ -21,12 +21,17 @@ the denominator is 1, as it is for integer surfaces.  Multiplication packs
 every exponent tuple into one int, giving each variable a bit field of
 width ``(maxexp_a + maxexp_b).bit_length() + 1`` computed per call from
 the two operands' largest exponents in that variable, so no field can
-overflow.  The univariate gcd runs a primitive remainder sequence on the
-integer numerators.  The resultant runs the subresultant remainder
-sequence over Z[t] on the integer numerators and divides by the scaling
-factor once at the end.  Its independent check, the Sylvester determinant
-by fraction-free elimination with exact polynomial division, is a test
-oracle in ``tests/test_polyring.py`` and is not part of this module.
+overflow.  The univariate gcd first runs Euclid modulo the prime
+P = ``_GCD_PRIME`` when P divides neither leading coefficient, and returns
+1 when the gcd there has degree 0: a common factor over Q would keep its
+degree mod P (the proof is in ``gcd_univariate``).  Every other case runs
+a primitive remainder sequence on the integer numerators, so a gcd of
+degree >= 1 always comes from the exact route.  The resultant runs the
+subresultant remainder sequence over Z[t] on the integer numerators and
+divides by the scaling factor once at the end.  Its independent check,
+the Sylvester determinant by fraction-free elimination with exact
+polynomial division, is a test oracle in ``tests/test_polyring.py`` and is
+not part of this module.
 
 Term order is graded lexicographic with respect to the variable order fixed
 by the VarSet at creation; printing lists terms in descending graded-lex
@@ -926,11 +931,49 @@ def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
     return _primitive(r) if r else r
 
 
+# a prime below 2^30, so every residue is a one-digit CPython int
+_GCD_PRIME = 1073741789
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a mod P, b mod P) for P = _GCD_PRIME, by Euclid over F_P.
+
+    a and b are integer coefficient lists whose leading coefficients P does
+    not divide.  Each step makes the divisor monic.
+    """
+    a = [c % _GCD_PRIME for c in a]
+    b = [c % _GCD_PRIME for c in b]
+    while b:
+        inv = pow(b[-1], -1, _GCD_PRIME)
+        b = [c * inv % _GCD_PRIME for c in b]
+        db = len(b) - 1
+        while len(a) > db:
+            lead = a.pop()
+            if lead:
+                # a -= lead * x^shift * b; the popped leading term cancels exactly
+                shift = len(a) - db
+                a[shift:] = [(c - lead * m) % _GCD_PRIME for c, m in zip(a[shift:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     """Monic gcd of two effectively-univariate polynomials (not both zero).
 
-    Runs the primitive remainder sequence over the integers; the gcd over Q
-    is the last nonzero remainder made monic.
+    A coprime pair is first tried modulo the prime P = _GCD_PRIME, and the
+    test is one-sided: it may only prove that the gcd is 1.  Let a, b be the
+    primitive integer coefficient lists, both nonzero, with P dividing
+    neither leading coefficient.  Suppose the gcd over Q has degree >= 1.
+    By Gauss's lemma its primitive form g lies in Z[x] and divides a and b
+    there, so lc(g) divides lc(a) and P does not divide lc(g).  Then g mod P
+    keeps its degree >= 1 and divides both images mod P.  Contrapositively,
+    a gcd of degree 0 mod P proves the gcd over Q is 1.
+
+    Every other case, and every gcd of degree >= 1, runs the primitive
+    remainder sequence over the integers; the gcd over Q is the last nonzero
+    remainder made monic.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -938,6 +981,9 @@ def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     name = _effective_variable(p, q)
     a = _primitive_coeffs(p, name)
     b = _primitive_coeffs(q, name)
+    if (a and b and a[-1] % _GCD_PRIME and b[-1] % _GCD_PRIME
+            and _gcd_degree_mod_p(a, b) == 0):
+        return ExactPoly.const(p.vars, 1)
     while b:
         a, b = b, _primitive_prem(a, b)
     # a is primitive, so a / a[-1] is canonical once a[-1] is positive

@@ -403,6 +403,21 @@ class TestOutputFile:
                                       "--matrix-out", ""])
         assert code == 3 and list(body) == ["error"] and "empty" in body["error"]
 
+    def test_out_and_matrix_out_on_one_file_are_refused(self, capsys, monkeypatch, tmp_path,
+                                                        generic_surface_file):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the system was assembled before the output check")
+
+        monkeypatch.setattr("jetdiff.cli.assemble_divisibility_system", no_solve)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.txt").symlink_to(tmp_path / "same.txt")
+        for matrix_out in ("same.txt", str(tmp_path / "same.txt"), "./link.txt"):
+            code, body = run_cli(capsys, ["--out", "same.txt", "solve", "--surface",
+                                          generic_surface_file, "--m", "1", "--c", "1",
+                                          "--a", "0", "--force", "--matrix-out", matrix_out])
+            assert code == 3 and list(body) == ["error"] and "same file" in body["error"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "surface.txt"]
+
     def test_unwritable_name_is_an_input_error(self, capsys, tmp_path):
         # passes the pre-flight check; os.replace refuses the 300-byte name
         out = tmp_path / ("a" * 300)

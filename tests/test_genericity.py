@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from jetdiff import genericity
+from jetdiff import genericity, polyring
 from jetdiff.genericity import (
     DEFAULT_SEED,
     FAIL,
@@ -301,3 +301,61 @@ class TestTriplePass:
                                          if not poly.is_constant()}, DEFAULT_SEED + 997)
             # without sharing, the 20 triples would take 40 resultants per shear
             assert 0 < len(calls) <= 15 * len(shears)
+
+
+def _dense_polynomial_text(rng, degree):
+    """Every monomial of total degree <= degree, coefficients in +-1..9."""
+    terms = []
+    for h in range(degree + 1):
+        for i in range(degree + 1 - h):
+            coeff = rng.randint(1, 9) * rng.choice((1, -1))
+            terms.append(f"{coeff}*x^{h}*y^{i}")
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _count_calls(monkeypatch, module, name, result=None):
+    """Count the calls of module.name; return result instead of running it, if given."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args) if result is None else result
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestModularGcdRoute:
+    """Pass verdicts of the gcd-based checks are proved mod p; the rest stay exact."""
+
+    def test_passing_dense_audit_never_runs_the_prs(self, monkeypatch):
+        rng = random.Random(7)
+        surf = SurfacePair.parse(_dense_polynomial_text(rng, 8), _dense_polynomial_text(rng, 8))
+        modular = _count_calls(monkeypatch, polyring, "_gcd_degree_mod_p")
+        exact = _count_calls(monkeypatch, polyring, "_primitive_prem")
+        assert full_genericity_audit(surf).verdict == PASS
+        assert len(modular) >= 1 and len(exact) == 0
+
+    FAILING = {
+        "tangency": lambda: full_genericity_audit(
+            SurfacePair.parse(*TestFailingAuditReports.CASES["tangency"][:2])).to_json_dict(),
+        "equal_pair": lambda: full_genericity_audit(
+            SurfacePair.parse(*TestFailingAuditReports.CASES["equal_pair"][:2])).to_json_dict(),
+        "nodal_cubic": lambda: genericity._curve_smooth_verdict(
+            poly_parse("y^2 - x^2*(x + 1)", XY)),
+        "cuspidal_cubic": lambda: genericity._curve_smooth_verdict(poly_parse("y^2 - x^3", XY)),
+        # all three pass through (1, 2)
+        "rational_triple_point": lambda: genericity._triple_verdicts(
+            {"p": poly_parse("y - 2*x", XY), "q": poly_parse("y + x - 3", XY),
+             "r": poly_parse("y - x^2 - 1", XY)}, DEFAULT_SEED)["p", "q", "r"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_failing_reports_come_from_the_exact_route(self, monkeypatch, case):
+        report = self.FAILING[case]()
+        assert (report["verdict"] if isinstance(report, dict) else report[0]) == FAIL
+        # a modular gcd of degree >= 1 sends every gcd to the exact PRS
+        forced = _count_calls(monkeypatch, polyring, "_gcd_degree_mod_p", result=1)
+        assert self.FAILING[case]() == report
+        assert len(forced) > 0

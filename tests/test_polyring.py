@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from jetdiff import polyring
 from jetdiff.jetbuilder import JET_VARS, XY
 from jetdiff.polyring import (
     MAX_COEFF_BITS,
@@ -718,6 +719,63 @@ class TestUnivariate:
         p = (X - ExactPoly.const(XY, Fraction(2, 3))) * (X + ExactPoly.const(XY, 5)) * X
         roots, complete = rational_roots(p)
         assert complete and set(roots) == {Fraction(0), Fraction(2, 3), Fraction(-5)}
+
+
+P = polyring._GCD_PRIME
+
+
+def spy_gcd_routes(monkeypatch):
+    """Record the degree of every modular gcd and every exact PRS step.
+
+    Both routes still run; the lists fill as gcd_univariate takes them.
+    """
+    modular, exact = [], []
+    modular_gcd, exact_step = polyring._gcd_degree_mod_p, polyring._primitive_prem
+
+    def modular_spy(a, b):
+        modular.append(modular_gcd(a, b))
+        return modular[-1]
+
+    def exact_spy(a, b):
+        exact.append((a, b))
+        return exact_step(a, b)
+
+    monkeypatch.setattr(polyring, "_gcd_degree_mod_p", modular_spy)
+    monkeypatch.setattr(polyring, "_primitive_prem", exact_spy)
+    return modular, exact
+
+
+# (p, q, degrees of the modular gcds): each pair must reach the exact PRS
+UNLUCKY_PRIME = [
+    pytest.param(f"{P}*x + 1", "x", [], id="lead-divisible-by-p"),
+    pytest.param("x", f"x - {P}", [1], id="coprime-over-q-not-mod-p"),
+    pytest.param("(x - 1)*(x + 2)", "(x - 1)*(3*x - 5)", [1], id="true-common-factor"),
+]
+
+
+class TestModularGcd:
+    @pytest.mark.parametrize("p_text,q_text,modular_degrees", UNLUCKY_PRIME)
+    def test_unlucky_prime_falls_back_to_exact(self, monkeypatch, p_text, q_text,
+                                               modular_degrees):
+        p, q = poly_parse(p_text, XY), poly_parse(q_text, XY)
+        expected = reference_gcd(p, q, "x")
+        modular, exact = spy_gcd_routes(monkeypatch)
+        assert gcd_univariate(p, q) == expected
+        assert modular == modular_degrees and len(exact) > 0
+
+    def test_squarefree_over_q_not_mod_p(self, monkeypatch):
+        # x*(x - P) = x^2 mod P, so gcd(p, p') = x there
+        p = poly_parse(f"x*(x - {P})", XY)
+        modular, exact = spy_gcd_routes(monkeypatch)
+        assert squarefree_univariate(p)
+        assert modular == [1] and len(exact) > 0
+
+    def test_coprime_mod_p_proves_gcd_one(self, monkeypatch):
+        p, q = poly_parse("3*x^4 - x + 7", XY), poly_parse("-2*x^3 + 5*x^2 + 1", XY)
+        expected = reference_gcd(p, q, "x")
+        modular, exact = spy_gcd_routes(monkeypatch)
+        assert gcd_univariate(p, q) == expected == ONE
+        assert modular == [0] and exact == []
 
 
 class TestDegreeSentinel:
