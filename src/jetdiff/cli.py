@@ -17,6 +17,7 @@ import tempfile
 
 from .counting import chi_cross_check_2_3, count_report, e_upper_bound, euler_characteristic
 from .divisibility import (
+    SectionContexts,
     assemble_divisibility_system,
     build_section,
     kernel_basis,
@@ -183,7 +184,8 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     system = assemble_divisibility_system(surf, spec)
     basis = kernel_basis(system)
     _log(args, f"kernel dimension {len(basis)}; certifying basis vectors")
-    certificates = [build_section(surf, spec, vector) for vector in basis]
+    contexts = SectionContexts(surf, spec)
+    certificates = [build_section(surf, spec, vector, contexts) for vector in basis]
     body.update({
         "columns": len(system.columns),
         "rows": len(system.rows),

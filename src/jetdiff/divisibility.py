@@ -4,11 +4,15 @@ The unknowns are the coefficients A[j,k,p,q]^{h,i} (one per index tuple
 j+k+p+q = m and monomial h+i <= a); the constraints say that every
 expansion coefficient Lambda[alpha,beta] is divisible by y^c, i.e. that
 the coefficient of each monomial x^h' y^i' with i' < c vanishes.  Its
-rows are the rows of the A -> J matrix of y-degree below c, on the same
-columns.  It is solved exactly (a kernel certified mod p and verified by
-an exact matvec, else fraction-free elimination), and every kernel vector
-is re-verified through the independent route, expand_lambda and
-monomial_quotient, before a certificate is issued.
+columns are built from the jet term bases with every factor and product
+cut below y^c, and a test checks that its rows are the rows of the A -> J
+matrix of y-degree below c, on the same columns.  It is solved exactly (a
+kernel certified mod p and verified by an exact matvec, else
+fraction-free elimination), and every kernel vector is re-verified
+through the independent route, expand_lambda and monomial_quotient,
+before a certificate is issued.  One solve certifies all its kernel
+vectors through one SectionContexts, so each route forms its heavy
+products once.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .jetbuilder import (
     CoefficientField,
     JetContext,
     JetSpec,
+    LambdaTerms,
     SurfacePair,
     build_jet,
     expand_lambda,
@@ -31,8 +36,10 @@ from .jetbuilder import (
 from .polyring import ExactPoly, monomial_quotient
 from .surfacecharts import (
     CHARTS,
+    chart_context,
     full_chart_transfer,
     restrict_to_surface,
+    surface_context,
     verify_infinity_exponents,
 )
 
@@ -72,20 +79,24 @@ def assemble_divisibility_system(surf: SurfacePair, spec: JetSpec) -> Constraint
 
     Column (j,k,p,q,h,i) is the jet x^h y^i * jet_term_base(j,k,p,q) of the
     unit field A[j,k,p,q] = x^h y^i; row (alpha,beta,h',i') with i' < c is
-    its coefficient of x^h' y^i' x'^alpha y'^beta.  Each tuple's base is read
-    once, cut below y^c and shifted monomially.  Rows whose linear form is
-    identically zero never materialise.
+    its coefficient of x^h' y^i' x'^alpha y'^beta.  The bases come from
+    `JetContext(surf, y_below=c)`, whose factors and products are all cut
+    below y^c; this is exact because a term of y-degree >= c only yields
+    terms of y-degree >= c.  Each tuple's base is read once and shifted
+    monomially.  Rows whose linear form is identically zero never
+    materialise.
     """
     m, c, a = spec.m, spec.c, spec.a
-    ctx = JetContext(surf)
+    ctx = JetContext(surf, y_below=c)
     shifts = list(monomials_upto(a))
     column_maps: list[dict[RowLabel, int | Fraction]] = []
     for t in index_tuples(m):
         low = [(alpha, beta, mh, mi, coeff) for (mh, mi, alpha, beta), coeff
-               in ctx.jet_term_base(t, m).coefficients().items() if mi < c]
+               in ctx.jet_term_base(t, m).coefficients().items()]
         column_maps.extend({(alpha, beta, mh + h, mi + i): coeff
                             for alpha, beta, mh, mi, coeff in low if mi + i < c}
                            for h, i in shifts)
+    del ctx  # the memoised products are not needed to build the matrix
     bound = (m + 1) * c * (a + surf.d * m + surf.e * m + 1)
     return ConstraintSystem.from_columns(
         unknown_labels(spec), column_maps, lambda r: (r[0], r[1], r[2] + r[3], -r[2]),
@@ -141,30 +152,53 @@ class SectionCertificate:
         }
 
 
-def build_section(surf: SurfacePair, spec: JetSpec,
-                  vector: list[Fraction]) -> SectionCertificate:
+class SectionContexts:
+    """One memoised context per certification route, for the vectors of one solve.
+
+    `jet` realises J (and the direct side of each chart transfer), `terms`
+    feeds the expansion route, `surface` the surface restriction and
+    `charts` the transferred side in each chart at infinity (only built when
+    spec is holomorphic at infinity).  The J and the expansion routes share
+    no cache, so their agreement stays an independent check.
+    """
+
+    def __init__(self, surf: SurfacePair, spec: JetSpec):
+        self.jet = JetContext(surf)
+        self.terms = LambdaTerms(surf)
+        self.surface = surface_context(surf)
+        self.charts = ({chart: chart_context(surf, chart) for chart in CHARTS}
+                       if spec.holomorphic_at_infinity else {})
+
+
+def build_section(surf: SurfacePair, spec: JetSpec, vector: list[Fraction],
+                  contexts: SectionContexts | None = None) -> SectionCertificate:
     """Certify one kernel vector end to end.
 
     Re-expands the field, divides every Lambda[alpha,beta] by y^c through
     monomial_quotient (a failure here is an assembly bug, not user error),
     then runs the surface restriction and the chart checks and records
-    their outcomes.
+    their outcomes.  contexts, when given, is `SectionContexts(surf, spec)`
+    shared by the other vectors of the same solve.
     """
+    if contexts is None:
+        contexts = SectionContexts(surf, spec)
     field = vector_to_field(spec, vector)
-    expansion = expand_lambda(field, surf, spec)
+    expansion = expand_lambda(field, surf, spec, contexts.terms)
     for (alpha, beta), poly in sorted(expansion.entries.items()):
         _, exact = monomial_quotient(poly, "y", spec.c)
         if not exact:
             raise AssemblyError(
                 f"Lambda[{alpha},{beta}] not divisible by y^{spec.c}: kernel assembly bug")
-    jet = build_jet(field, surf, spec)
+    jet = build_jet(field, surf, spec, contexts.jet)
     jet_reduced, exact = monomial_quotient(jet, "y", spec.c)
     if not exact:
         raise AssemblyError("jet not divisible although every Lambda was")
-    _, restriction_exact = restrict_to_surface(field, surf, spec)
+    _, restriction_exact = restrict_to_surface(field, surf, spec, contexts.surface)
     infinity_report = verify_infinity_exponents(spec)
     transfer_ok = spec.holomorphic_at_infinity and all(
-        full_chart_transfer(field, surf, spec, chart).identity_ok for chart in CHARTS)
+        full_chart_transfer(field, surf, spec, chart, contexts.charts[chart],
+                            contexts.jet).identity_ok
+        for chart in CHARTS)
     return SectionCertificate(
         field=field,
         jet=jet,

@@ -24,10 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable, Iterator, Mapping
 
-from .polyring import MAX_DEGREE, ExactPoly, PowerCache, VarSet, poly_diff, poly_parse
+from .polyring import (
+    MAX_DEGREE,
+    ExactPoly,
+    PowerCache,
+    VarSet,
+    poly_diff,
+    poly_parse,
+    truncate_below,
+)
 
 XY = VarSet(("x", "y"))
 JET_VARS = VarSet(("x", "y", "x'", "y'"))
@@ -216,16 +225,24 @@ class LambdaExpansion:
 
 
 class JetContext:
-    """Cached powers of the six slots of a jet construction.
+    """Cached powers and products of the six slots of a jet construction.
 
     The slot caches hold the powers of the images of x', y', R, R', S, S' in
     one target ring; by default the tautological images in (x, y, x', y'),
     where realize gives J.  Other slot values realise the same sum after a
-    change of jet chart: on the surface (surfacecharts.restrict_to_surface)
-    or at infinity (surfacecharts.full_chart_transfer).
+    change of jet chart: on the surface (surfacecharts.surface_context) or
+    at infinity (surfacecharts.chart_context).
+
+    The context memoises U_p = R'^p R^(m-p), V_q = S'^q S^(m-q) and
+    U_p V_q: each is formed on its first request and kept for the life of
+    the context, so one context shared by many fields forms each once.
+
+    With y_below = c, every slot, power and product is cut to its terms of
+    y-degree below c (`truncate_below`); those terms are exact.
     """
 
-    def __init__(self, surf: SurfacePair, slots: tuple[ExactPoly, ...] | None = None):
+    def __init__(self, surf: SurfacePair, slots: tuple[ExactPoly, ...] | None = None,
+                 y_below: int | None = None):
         if slots is None:
             rx, ry, sx, sy = surf.partials()
             xp = ExactPoly.variable(JET_VARS, "x'")
@@ -236,30 +253,81 @@ class JetContext:
                      surf.s.extend_to(JET_VARS),
                      xp * sx.extend_to(JET_VARS) + yp * sy.extend_to(JET_VARS))
         self.target = slots[0].vars
+        self._cut = ((lambda p: p) if y_below is None
+                     else partial(truncate_below, name="y", k=y_below))
         (self.xp_pow, self.yp_pow, self.pow_r_slot, self.pow_rp_slot,
-         self.pow_s_slot, self.pow_sp_slot) = map(PowerCache, slots)
+         self.pow_s_slot, self.pow_sp_slot) = (PowerCache(slot, self._cut) for slot in slots)
+        self._factors: dict[tuple[str, int, int], ExactPoly] = {}
+        self._bases: dict[tuple[int, int, int], ExactPoly] = {}
+
+    def _factor(self, curve: str, k: int, m: int) -> ExactPoly:
+        """U_k for curve "R", V_k for curve "S"."""
+        key = (curve, k, m)
+        if key not in self._factors:
+            prime, plain = ((self.pow_rp_slot, self.pow_r_slot) if curve == "R"
+                            else (self.pow_sp_slot, self.pow_s_slot))
+            self._factors[key] = self._cut(prime[k] * plain[m - k])
+        return self._factors[key]
+
+    def _form_base(self, p: int, q: int, m: int) -> ExactPoly:
+        return self._cut(self._factor("R", p, m) * self._factor("S", q, m))
+
+    def pq_base(self, p: int, q: int, m: int) -> ExactPoly:
+        """U_p V_q = R'^p R^(m-p) S'^q S^(m-q), formed once per (p, q, m)."""
+        key = (p, q, m)
+        if key not in self._bases:
+            self._bases[key] = self._form_base(p, q, m)
+        return self._bases[key]
 
     def jet_term_base(self, t: IndexTuple, m: int) -> ExactPoly:
-        """x'^j y'^k R'^p S'^q R^(m-p) S^(m-q) for one index tuple, A = 1."""
+        """x'^j y'^k R'^p S'^q R^(m-p) S^(m-q) for one index tuple, A = 1.
+
+        The x'^j y'^k factor is multiplied, not shifted: in a chart ring the
+        images of x' and y' are not monomials.
+        """
         j, k, p, q = t
-        return (self.xp_pow[j] * self.yp_pow[k]
-                * self.pow_rp_slot[p] * self.pow_sp_slot[q]
-                * self.pow_r_slot[m - p] * self.pow_s_slot[m - q])
+        return self.xp_pow[j] * self.yp_pow[k] * self.pq_base(p, q, m)
 
     def realize(self, field: CoefficientField,
                 lift: Callable[[ExactPoly], ExactPoly] | None = None) -> ExactPoly:
         """Sum of lift(A[t]) * jet_term_base(t) over the nonzero entries of field.
 
         lift maps an (x, y) coefficient into the target ring; by default it
-        renames the variables into the target.
+        renames the variables into the target.  A context with y_below cuts
+        each product too.
         """
         result = ExactPoly.zero(self.target)
         for t, a_poly in field.items():
             if a_poly.is_zero():
                 continue
             image = a_poly.extend_to(self.target) if lift is None else lift(a_poly)
-            result = result + image * self.jet_term_base(t, field.m)
+            result = result + self._cut(image * self.jet_term_base(t, field.m))
         return result
+
+
+class LambdaTerms:
+    """The products of the expansion route, each formed once.
+
+    term(p1, p2, q1, q2, m) is R_x^p1 R_y^p2 S_x^q1 S_y^q2 R^(m-p1-p2)
+    S^(m-q1-q2), kept for the life of the instance.  It is built from the
+    surface alone and never reads a JetContext, so that expand_lambda stays
+    an independent check of build_jet.
+    """
+
+    def __init__(self, surf: SurfacePair):
+        (self.pow_r, self.pow_s, self.pow_rx, self.pow_ry, self.pow_sx,
+         self.pow_sy) = map(PowerCache, (surf.r, surf.s, *surf.partials()))
+        self._terms: dict[tuple[int, int, int, int, int], ExactPoly] = {}
+
+    def _form_term(self, p1: int, p2: int, q1: int, q2: int, m: int) -> ExactPoly:
+        return (self.pow_rx[p1] * self.pow_ry[p2] * self.pow_sx[q1] * self.pow_sy[q2]
+                * self.pow_r[m - p1 - p2] * self.pow_s[m - q1 - q2])
+
+    def term(self, p1: int, p2: int, q1: int, q2: int, m: int) -> ExactPoly:
+        key = (p1, p2, q1, q2, m)
+        if key not in self._terms:
+            self._terms[key] = self._form_term(*key)
+        return self._terms[key]
 
 
 def validate_field(field: CoefficientField, spec: JetSpec) -> None:
@@ -270,17 +338,25 @@ def validate_field(field: CoefficientField, spec: JetSpec) -> None:
         raise ValueError(f"coefficient field exceeds the degree cap a={spec.a}")
 
 
-def build_jet(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> ExactPoly:
-    """The jet polynomial J, homogeneous of degree m in (x', y')."""
+def build_jet(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
+              ctx: JetContext | None = None) -> ExactPoly:
+    """The jet polynomial J, homogeneous of degree m in (x', y').
+
+    ctx, when given, is `JetContext(surf)`, shared with other calls.
+    """
     validate_field(field, spec)
-    return JetContext(surf).realize(field)
+    return (JetContext(surf) if ctx is None else ctx).realize(field)
 
 
-def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> LambdaExpansion:
-    """The (alpha, beta) coefficients of J, computed by direct reindexation."""
+def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
+                  terms: LambdaTerms | None = None) -> LambdaExpansion:
+    """The (alpha, beta) coefficients of J, computed by direct reindexation.
+
+    terms, when given, is `LambdaTerms(surf)`, shared with other calls.
+    """
     validate_field(field, spec)
-    pow_r, pow_s, pow_rx, pow_ry, pow_sx, pow_sy = map(
-        PowerCache, (surf.r, surf.s, *surf.partials()))
+    if terms is None:
+        terms = LambdaTerms(surf)
     m = spec.m
     entries: dict[tuple[int, int], ExactPoly] = {}
     for alpha in range(m + 1):
@@ -296,8 +372,7 @@ def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec) -> 
                         if a_poly.is_zero():
                             continue
                         weight = comb(p1 + p2, p1) * comb(q1 + q2, q1)
-                        term = (pow_rx[p1] * pow_ry[p2] * pow_sx[q1] * pow_sy[q2]
-                                * pow_r[m - p1 - p2] * pow_s[m - q1 - q2])
+                        term = terms.term(p1, p2, q1, q2, m)
                         acc = acc + (a_poly * term).scale(weight)
         entries[(alpha, beta)] = acc
     return LambdaExpansion(m, entries)

@@ -604,14 +604,20 @@ def poly_parse(text: str, vars: VarSet) -> ExactPoly:
 # -- powers, derivatives and substitution -------------------------------------
 
 class PowerCache:
-    """Lazily grown list of powers of a fixed polynomial: cache[k] is base**k."""
+    """Lazily grown list of powers of a fixed polynomial: cache[k] is base**k.
 
-    def __init__(self, base: ExactPoly):
-        self._powers = [ExactPoly.const(base.vars, 1), base]
+    With a cut, cache[k] is cut(base**k), each power formed from the cut
+    previous one; cut must satisfy cut(cut(f) * cut(g)) == cut(f * g), as
+    `truncate_below` does.
+    """
+
+    def __init__(self, base: ExactPoly, cut: Callable[[ExactPoly], ExactPoly] | None = None):
+        self._cut = cut or (lambda p: p)
+        self._powers = [self._cut(ExactPoly.const(base.vars, 1)), self._cut(base)]
 
     def __getitem__(self, k: int) -> ExactPoly:
         while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] * self._powers[1])
+            self._powers.append(self._cut(self._powers[-1] * self._powers[1]))
         return self._powers[k]
 
 
@@ -694,6 +700,17 @@ def monomial_quotient(p: ExactPoly, name: str, k: int) -> tuple[ExactPoly, bool]
         new[i] -= k
         out[tuple(new)] = coeff
     return ExactPoly._from_ints(p.vars, out, p.den), exact
+
+
+def truncate_below(p: ExactPoly, name: str, k: int) -> ExactPoly:
+    """The terms of p of degree below k in the variable.
+
+    Exponents are non-negative, so a term of degree >= k in a factor only
+    yields terms of degree >= k: truncate_below(f * g) equals
+    truncate_below(truncate_below(f) * truncate_below(g)).
+    """
+    i = p.vars.index(name)
+    return ExactPoly._from_ints(p.vars, {e: c for e, c in p.num.items() if e[i] < k}, p.den)
 
 
 # -- dense univariate views ----------------------------------------------------

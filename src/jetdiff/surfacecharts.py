@@ -49,22 +49,32 @@ INV_Y = "inv_y"
 CHARTS = (INV_X, INV_Y)
 
 
-def restrict_to_surface(field: CoefficientField, surf: SurfacePair,
-                        spec: JetSpec) -> tuple[ExactPoly, bool]:
+def surface_context(surf: SurfacePair) -> JetContext:
+    """The jet context with the surface slots.
+
+    R -> z^d, R' -> d z^(d-1) z', S -> t^e, S' -> e t^(e-1) t', over
+    SURFACE_VARS.
+    """
+    d, e = surf.d, surf.e
+    xp, yp, z, t, zp, tp = (ExactPoly.variable(SURFACE_VARS, name)
+                            for name in ("x'", "y'", "z", "t", "z'", "t'"))
+    return JetContext(surf, (xp, yp, z ** d, (z ** (d - 1) * zp).scale(d),
+                             t ** e, (t ** (e - 1) * tp).scale(e)))
+
+
+def restrict_to_surface(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
+                        ctx: JetContext | None = None) -> tuple[ExactPoly, bool]:
     """Realise the jet with the surface slots and divide.
 
-    R -> z^d, R' -> d z^(d-1) z', S -> t^e, S' -> e t^(e-1) t'; the result is
-    divided by z^(m(d-1)) t^(m(e-1)).  The per-term exponent identity
+    The jet is realised in `surface_context(surf)`, or in ctx when given,
+    and divided by z^(m(d-1)) t^(m(e-1)).  The per-term exponent identity
     m*d - p >= m(d-1) (as p <= m) makes the division exact for every
     well-formed input; exact = False signals an implementation bug.  A field
     that does not match the spec raises ValueError, as in `build_jet`.
     """
     validate_field(field, spec)
     d, e, m = surf.d, surf.e, spec.m
-    xp, yp, z, t, zp, tp = (ExactPoly.variable(SURFACE_VARS, name)
-                            for name in ("x'", "y'", "z", "t", "z'", "t'"))
-    slots = (xp, yp, z ** d, (z ** (d - 1) * zp).scale(d), t ** e, (t ** (e - 1) * tp).scale(e))
-    substituted = JetContext(surf, slots).realize(field)
+    substituted = (surface_context(surf) if ctx is None else ctx).realize(field)
     quotient, exact_z = monomial_quotient(substituted, "z", m * (d - 1))
     quotient, exact_t = monomial_quotient(quotient, "t", m * (e - 1))
     return quotient, exact_z and exact_t
@@ -198,16 +208,31 @@ class TransferResult:
     identity_ok: bool             # cross-multiplied reconstruction identity
 
 
+def chart_context(surf: SurfacePair, chart: str) -> JetContext:
+    """The jet context with the slots of one chart at infinity, over CHART_VARS.
+
+    x' and y' map to the numerators of their images, R and S to their chart
+    polynomials, R' and S' to u times their chart brackets.
+    """
+    u, _, xp_image, yp_image = _chart(chart)
+    return JetContext(surf, (
+        xp_image, yp_image,
+        _chart_polynomial(surf.r, surf.d, chart), u * _chart_derivative(surf.r, surf.d, chart),
+        _chart_polynomial(surf.s, surf.e, chart), u * _chart_derivative(surf.s, surf.e, chart)))
+
+
 def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
-                        chart: str = INV_X) -> TransferResult:
+                        chart: str = INV_X, ctx: JetContext | None = None,
+                        jet_ctx: JetContext | None = None) -> TransferResult:
     """Transfer the jet differential through the 1/x or 1/y chart change.
 
     Returns the polynomial factor that multiplies u^(c-a-4m) (u the inverted
     coordinate) in the transferred differential, and verifies against the
     directly substituted jet that u^(a+dm+em+2m) * (substituted J) equals the
-    returned polynomial, bit-exactly.
+    returned polynomial, bit-exactly.  ctx, when given, is
+    `chart_context(surf, chart)`, and jet_ctx is `JetContext(surf)` for the
+    direct side; both may be shared with other calls.
     """
-    u, _, xp_image, yp_image = _chart(chart)
     if not spec.holomorphic_at_infinity:
         raise ValueError(f"chart transfer requires a <= c - 4m, got a={spec.a}, "
                          f"c={spec.c}, m={spec.m}")
@@ -217,12 +242,9 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
     # rides on the R' and S' slots.
     residual_min = min((_residual(spec, t, h, i)
                         for t, a_poly in field.items() for (h, i) in a_poly.num), default=0)
-    slots = (xp_image, yp_image,
-             _chart_polynomial(surf.r, d, chart), u * _chart_derivative(surf.r, d, chart),
-             _chart_polynomial(surf.s, e, chart), u * _chart_derivative(surf.s, e, chart))
-    transferred = JetContext(surf, slots).realize(
+    transferred = (chart_context(surf, chart) if ctx is None else ctx).realize(
         field, lambda a_poly: _chart_polynomial(a_poly, a, chart))
-    direct = _chart_polynomial(build_jet(field, surf, spec), a + d * m + e * m, chart)
+    direct = _chart_polynomial(build_jet(field, surf, spec, jet_ctx), a + d * m + e * m, chart)
     return TransferResult(
         chart=chart,
         transferred=transferred,

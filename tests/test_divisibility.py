@@ -9,6 +9,7 @@ from jetdiff.counting import dof
 from jetdiff.divisibility import (
     AssemblyError,
     SectionCertificate,
+    SectionContexts,
     assemble_divisibility_system,
     build_section,
     kernel_basis,
@@ -20,7 +21,9 @@ from jetdiff.divisibility import (
 from jetdiff.jetbuilder import (
     XY,
     CoefficientField,
+    JetContext,
     JetSpec,
+    LambdaTerms,
     SurfacePair,
     expand_lambda,
     unit_field,
@@ -33,6 +36,13 @@ from jetdiff.sampling import random_surface_pair
 
 FRACTIONAL_SURFACE = SurfacePair.parse("1/2*x^2 - 3/7*x*y + y^2 + 1/3",
                                        "2/5*x^3 + x*y^2 - 1/9*y^3 + x - 5/4")
+
+# the dense d = e = 3 pair drawn from random.Random(7), R first, by the
+# benchmark's generator; at (m, c, a) = (1, 7, 3) its kernel has dimension 2
+# and the sections are holomorphic at infinity
+DENSE_CUBIC_SURFACE = SurfacePair.parse(
+    "6 + 7*y + 2*y^2 + 6*y^3 + 9*x + x*y - 7*x*y^2 + 2*x^2 - 2*x^2*y + x^3",
+    "4 + 7*y + 4*y^2 + 9*y^3 - 5*x + 3*x*y + 5*x*y^2 + 2*x^2 + 6*x^2*y + 9*x^3")
 
 
 def surface(seed=20, d=3, e=3):
@@ -203,6 +213,52 @@ class TestSectionCertificate:
             SectionCertificate(field=CoefficientField(1), jet=ExactPoly.zero(XY),
                                jet_reduced=ExactPoly.zero(XY),
                                checks={"y_divisible": False})
+
+
+# (surface, spec, kernel dimension): a d = e = 5 surface with a 30-vector
+# kernel, the fractional pair, and a point holomorphic at infinity
+SHARED_CONTEXT_CASES = [
+    (surface(seed=5, d=5, e=5), JetSpec(m=2, c=2, a=3), 30),
+    (FRACTIONAL_SURFACE, JetSpec(m=2, c=2, a=2), 16),
+    (DENSE_CUBIC_SURFACE, JetSpec(m=1, c=7, a=3), 2),
+]
+
+
+class TestSharedContexts:
+    @pytest.mark.parametrize("surf,spec,dimension", SHARED_CONTEXT_CASES)
+    def test_shared_contexts_change_no_certificate(self, surf, spec, dimension):
+        basis = kernel_basis(assemble_divisibility_system(surf, spec))
+        assert len(basis) == dimension
+        contexts = SectionContexts(surf, spec)
+        shared = [build_section(surf, spec, v, contexts).to_json_dict() for v in basis]
+        fresh = [build_section(surf, spec, v).to_json_dict() for v in basis]
+        assert shared == fresh
+        if spec.holomorphic_at_infinity:
+            assert all(all(cert["checks"].values()) for cert in shared)
+
+    @pytest.mark.parametrize("surf,spec,dimension",
+                             [SHARED_CONTEXT_CASES[0], SHARED_CONTEXT_CASES[2]])
+    def test_each_route_forms_its_products_once(self, monkeypatch, surf, spec, dimension):
+        # spy on the memo misses: certifying a whole basis forms each route's
+        # U_p V_q once per (p, q) and each expansion term once per index tuple
+        basis = kernel_basis(assemble_divisibility_system(surf, spec))
+        formed = []
+
+        def spy(form):
+            def spied(owner, *key):
+                formed.append((owner, key))
+                return form(owner, *key)
+            return spied
+
+        monkeypatch.setattr(JetContext, "_form_base", spy(JetContext._form_base))
+        monkeypatch.setattr(LambdaTerms, "_form_term", spy(LambdaTerms._form_term))
+        contexts = SectionContexts(surf, spec)
+        for vector in basis:
+            build_section(surf, spec, vector, contexts)
+        routes = {contexts.jet, contexts.terms, contexts.surface, *contexts.charts.values()}
+        assert len(routes) == (5 if spec.holomorphic_at_infinity else 3)
+        assert {owner for owner, _ in formed} == routes
+        assert len(set(formed)) == len(formed)
 
 
 class TestExports:

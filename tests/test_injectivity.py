@@ -19,6 +19,7 @@ from jetdiff.jetbuilder import (
     XY,
     CoefficientField,
     JetSpec,
+    LambdaTerms,
     SurfacePair,
     build_jet,
     expand_lambda,
@@ -236,17 +237,21 @@ class TestTriangularReduction:
 
     def test_runs_without_the_jet_context(self, monkeypatch):
         # the expansion route is the independent check of build_jet, so it
-        # must not read JetContext's caches
+        # must not read JetContext's caches, also when its own term cache is
+        # shared across fields as in one solve
         rng = random.Random(131)
         surf = random_surface_pair(rng, 2, 3)
         spec = JetSpec(m=2, c=0, a=1)
-        field = random_coefficient_field(rng, 2, 1)
-        expected = build_jet(field, surf, spec)
+        fields = [random_coefficient_field(rng, 2, 1) for _ in range(3)]
+        expected = [build_jet(field, surf, spec) for field in fields]
 
         def no_context(*args, **kwargs):
             raise AssertionError("JetContext built on the expansion route")
 
         monkeypatch.setattr("jetdiff.jetbuilder.JetContext", no_context)
         monkeypatch.setattr("jetdiff.injectivity.JetContext", no_context)
-        assert expand_lambda(field, surf, spec).reconstruct() == expected
+        assert expand_lambda(fields[0], surf, spec).reconstruct() == expected[0]
+        terms = LambdaTerms(surf)
+        assert [expand_lambda(field, surf, spec, terms).reconstruct()
+                for field in fields] == expected
         assert triangular_reduction_check(surf, 2)

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetdiff.jetbuilder import (
     JET_VARS,
     XY,
     CoefficientField,
+    JetContext,
     JetSpec,
     LambdaExpansion,
     SurfacePair,
@@ -17,8 +19,9 @@ from jetdiff.jetbuilder import (
     monomials_upto,
     unit_field,
 )
-from jetdiff.polyring import ExactPoly, poly_diff, poly_parse
+from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, truncate_below
 from jetdiff.sampling import random_coefficient_field, random_surface_pair
+from jetdiff.surfacecharts import CHARTS, chart_context, surface_context
 
 
 def cubic_surface(seed=3):
@@ -109,6 +112,39 @@ class TestBuildJet:
             jet = build_jet(field, surf, JetSpec(m=m, c=1, a=1))
             for exps in jet.terms:
                 assert exps[2] + exps[3] == m
+
+
+class TestJetContext:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 8),
+           st.sampled_from(("default", "surface") + CHARTS))
+    def test_jet_term_base_is_the_left_to_right_product(self, seed, d, c, slots):
+        # oracle: x'^j y'^k R'^p S'^q R^(m-p) S^(m-q) by plain powers of the
+        # context's own slots, left to right; one context serves m = 1 and 2,
+        # and every tuple is asked twice, so later calls read the memos
+        surf = random_surface_pair(random.Random(seed), d, 3)
+        if slots == "default":
+            ctx = JetContext(surf)
+        elif slots == "surface":
+            ctx = surface_context(surf)
+        else:
+            ctx = chart_context(surf, slots)
+        xp, yp, r, rp, s, sp = (cache[1] for cache in (
+            ctx.xp_pow, ctx.yp_pow, ctx.pow_r_slot, ctx.pow_rp_slot,
+            ctx.pow_s_slot, ctx.pow_sp_slot))
+        cut = JetContext(surf, y_below=c)
+        for m in (1, 2, 1):
+            tuples = list(index_tuples(m))
+            for t in tuples + tuples[::-1]:
+                j, k, p, q = t
+                expected = xp ** j * yp ** k * rp ** p * sp ** q * r ** (m - p) * s ** (m - q)
+                assert ctx.jet_term_base(t, m) == expected
+                if slots == "default":
+                    # every factor and product cut below y^c: exact on those terms
+                    assert cut.jet_term_base(t, m) == truncate_below(expected, "y", c)
+        field = random_coefficient_field(random.Random(seed), 2, 1)
+        if slots == "default":
+            assert cut.realize(field) == truncate_below(ctx.realize(field), "y", c)
 
 
 class TestExpandLambda:

@@ -14,6 +14,7 @@ from jetdiff.polyring import (
     NEG_INF,
     ExactPoly,
     ParseError,
+    PowerCache,
     VarSet,
     gcd_univariate,
     monomial_quotient,
@@ -23,6 +24,7 @@ from jetdiff.polyring import (
     rational_roots,
     resultant,
     squarefree_univariate,
+    truncate_below,
 )
 from conftest import random_poly
 
@@ -470,6 +472,18 @@ class TestRepresentation:
         quotient, exact = monomial_quotient(ExactPoly(XY, a), "y", k)
         assert quotient.terms == {(h, i - k): c for (h, i), c in a.items() if c and i >= k}
         assert exact == all(i >= k for (h, i), c in a.items() if c)
+
+    @PROPERTY
+    @given(term_maps(XY), term_maps(XY), st.integers(0, 10))
+    def test_truncate_below_matches_fraction_oracle(self, a, b, k):
+        p, q = ExactPoly(XY, a), ExactPoly(XY, b)
+        low = truncate_below(p, "y", k)
+        assert low.terms == {(h, i): c for (h, i), c in a.items() if c and i < k}
+        # the cut of a product is the cut of the product of the cuts
+        assert truncate_below(p * q, "y", k) == truncate_below(
+            low * truncate_below(q, "y", k), "y", k)
+        cut = PowerCache(p, lambda f: truncate_below(f, "y", k))
+        assert [cut[n] for n in range(4)] == [truncate_below(p ** n, "y", k) for n in range(4)]
 
     @PROPERTY
     @given(term_maps(XY))
