@@ -15,7 +15,8 @@ degeneracy that survives every attempted shear without a verified witness
 is reported as inconclusive, never silently passed.  The pass verdicts of
 the gcd-based checks may be proved by a gcd of degree 0 modulo a prime (see
 ``polyring.gcd_univariate``); fail and inconclusive verdicts, and their
-witnesses, always come from the exact remainder sequence.
+witnesses, always come from the exact remainder sequence.  No rational
+root candidate is missed: ``polyring.rational_roots`` is complete.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _verify_affine_point_candidates(g: ExactPoly, system: list[ExactPoly]) -> st
     Returns a witness for the first root that is one, else None; system
     entries are bivariate, specialised at each candidate x-value.
     """
-    for x0 in rational_roots(g)[0]:
+    for x0 in rational_roots(g):
         x0_poly = ExactPoly.const(XY, x0)
         specialised = [poly_substitute(p, {"x": x0_poly, "y": ExactPoly.variable(XY, "y")})
                        for p in system]

@@ -45,6 +45,7 @@ from .jetbuilder import (
     CoefficientField,
     JetContext,
     JetSpec,
+    LambdaTerms,
     SurfacePair,
     expand_lambda,
     index_tuples,
@@ -149,16 +150,14 @@ def verify_injectivity_theorem(surf: SurfacePair, m: int, a: int,
 
 def rx_sx_matrix(surf: SurfacePair, m: int) -> linalg.SparseMatrix:
     """Matrix of (A[p,q]) -> sum A[p,q] R_x^p S_x^q R^(m-p) S^(m-q), deg A <= d-1."""
-    rx, _, sx, _ = surf.partials()
-    pow_r, pow_s, pow_rx, pow_sx = map(PowerCache, (surf.r, surf.s, rx, sx))
+    terms = LambdaTerms(surf)
     shifts = list(monomials_upto(surf.d - 1))
     columns: list[tuple] = []
     groups: list[tuple[ExactPoly, list[tuple]]] = []
     for p in range(m + 1):
         for q in range(m + 1 - p):
-            base = pow_rx[p] * pow_sx[q] * pow_r[m - p] * pow_s[m - q]
             columns.extend((p, q) + shift for shift in shifts)
-            groups.append((base, shifts))
+            groups.append((terms.term(p, 0, q, 0, m), shifts))
     return _matrix_from_shifts(columns, groups)
 
 

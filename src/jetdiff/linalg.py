@@ -117,10 +117,10 @@ def _slot_bits(ncols: int) -> int:
     """Width of one column's slot in a packed row.
 
     A slot starts below p and takes at most ncols updates s * (p - w) with
-    s, w < p, so it stays below (ncols + 1) * p^2, which is less than
-    2^(2*61 + ncols.bit_length() + 1): no slot ever carries into the next.
+    s, w < p, so it stays below (ncols + 1) * p^2 < 2^(2*p.bit_length() +
+    ncols.bit_length() + 1): no slot ever carries into the next.
     """
-    return 2 * 61 + ncols.bit_length() + 1
+    return 2 * _PRIME.bit_length() + ncols.bit_length() + 1
 
 
 def _pack(entries: Iterable[tuple[int, int]], bits: int) -> int:

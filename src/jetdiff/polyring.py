@@ -33,6 +33,17 @@ the Sylvester determinant by fraction-free elimination with exact
 polynomial division, is a test oracle in ``tests/test_polyring.py`` and is
 not part of this module.
 
+Rational roots come from p-adic lifting (Loos, 1983), complete for every
+input.  Let f be the squarefree part, of degree n, of the primitive integer
+list without its zero roots, a_0 and a_n its end coefficients.  Then
+g(y) = a_n**(n-1) * f(y / a_n) is monic over Z, and a root u/v of f gives
+the integer root y = a_n*u/v of g, with |y| <= |a_0*a_n| as u | a_0 and
+v | a_n.  The first prime p > n, not dividing a_n, at which every root of
+g mod p is simple exists, since only primes dividing disc(g) fail.  y mod p
+is such a root, so Newton's iteration lifts it uniquely to p**k, and the
+symmetric residue mod p**k > 2*|a_0*a_n| is y itself.  A lifted residue
+is kept only where g vanishes exactly, so no root is missed or unproved.
+
 Term order is graded lexicographic with respect to the variable order fixed
 by the VarSet at creation; printing lists terms in descending graded-lex
 order with the sign folded into the coefficient.
@@ -41,7 +52,7 @@ order with the sign folded into the coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
@@ -996,17 +1007,20 @@ def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
         raise ValueError("gcd(0, 0) is undefined")
     p._check_same_vars(q)
     name = _effective_variable(p, q)
-    a = _primitive_coeffs(p, name)
-    b = _primitive_coeffs(q, name)
+    a = _primitive_gcd(_primitive_coeffs(p, name), _primitive_coeffs(q, name))
+    # a is primitive, so a / a[-1] is canonical once a[-1] is positive
+    return _from_dense(p.vars, None if name is None else p.vars.index(name), a, a[-1])
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd of primitive integer lists a, b (not both []), primitive with a
+    positive lead: 1 when proved mod P, else by the PRS (see gcd_univariate)."""
     if (a and b and a[-1] % _GCD_PRIME and b[-1] % _GCD_PRIME
             and _gcd_degree_mod_p(a, b) == 0):
-        return ExactPoly.const(p.vars, 1)
+        return [1]
     while b:
         a, b = b, _primitive_prem(a, b)
-    # a is primitive, so a / a[-1] is canonical once a[-1] is positive
-    if a[-1] < 0:
-        a = [-c for c in a]
-    return _from_dense(p.vars, None if name is None else p.vars.index(name), a, a[-1])
+    return [-c for c in a] if a[-1] < 0 else a
 
 
 def squarefree_univariate(p: ExactPoly) -> bool:
@@ -1020,63 +1034,49 @@ def squarefree_univariate(p: ExactPoly) -> bool:
     return g.is_constant()
 
 
-# largest |coefficient| whose divisors rational_roots enumerates in full
-RATIONAL_ROOT_DIVISOR_LIMIT = 10**12
+def _horner(coeffs: list[int], x: int) -> int:
+    """sum(coeffs[k] * x**k), by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def rational_roots(p: ExactPoly) -> tuple[list[Fraction], bool]:
-    """All rational roots of an effectively-univariate polynomial.
-
-    Returns ``(roots, complete)``.  complete is False when the leading or
-    trailing integer coefficient was too large to factor within the trial
-    division budget, in which case the list may miss roots.
+def rational_roots(p: ExactPoly) -> list[Fraction]:
+    """All rational roots of an effectively-univariate polynomial, each once,
+    sorted by (|u|, v, u < 0) for u/v in lowest terms.  The route, p-adic
+    lifting, is complete for every input: see the module docstring.
     """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     name = _effective_variable(p)
     if name is None:
-        return [], True
+        return []
     ints = _primitive_coeffs(p, name)
-    roots: list[Fraction] = []
     low = 0
     while ints[low] == 0:
         low += 1
-    if low > 0:
-        roots.append(Fraction(0))
-        ints = ints[low:]
+    roots = [Fraction(0)] if low else []
+    ints = ints[low:]
     if len(ints) == 1:
-        return roots, True
-    a0, an = abs(ints[0]), abs(ints[-1])
-    complete = True
-    if a0 > RATIONAL_ROOT_DIVISOR_LIMIT or an > RATIONAL_ROOT_DIVISOR_LIMIT:
-        complete = False
-        num_divs = [d for d in range(1, 10**4 + 1) if a0 % d == 0]
-        den_divs = [d for d in range(1, 10**4 + 1) if an % d == 0]
-    else:
-        num_divs = _divisors(a0)
-        den_divs = _divisors(an)
-    seen: set[Fraction] = set()
-    for nd in num_divs:
-        for dd in den_divs:
-            for cand in (Fraction(nd, dd), Fraction(-nd, dd)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return roots, complete
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+        return roots
+    repeated = _primitive_gcd(ints, _primitive([k * c for k, c in enumerate(ints)][1:]))
+    f = _zdiv_exact(ints, repeated)
+    n, lead = len(f) - 1, f[-1]
+    g = [c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])] + [1]
+    dg = [k * c for k, c in enumerate(g)][1:]
+    # the first prime p > n, not dividing lead, at which no root of g mod p is one of g'
+    prime = n + 1
+    while (lead % prime == 0 or any(prime % q == 0 for q in range(2, isqrt(prime) + 1))
+           or any(_horner(g, r) % prime == _horner(dg, r) % prime == 0 for r in range(prime))):
+        prime += 1
+    for y in [r for r in range(prime) if _horner(g, r) % prime == 0]:
+        modulus = prime
+        while modulus <= 2 * abs(f[0] * lead):
+            modulus *= modulus
+            y = (y - _horner(g, y) * pow(_horner(dg, y), -1, modulus)) % modulus
+        if y > modulus // 2:
+            y -= modulus
+        if _horner(g, y) == 0:
+            roots.append(Fraction(y, lead))
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))

@@ -160,6 +160,15 @@ class TestNoTriple:
         r = poly_parse("y - x^2 - 1", XY)
         assert not no_triple_check(p, q, r)
 
+    def test_triple_point_with_a_large_root(self):
+        # all three pass through (N, 1); the witness needs a root with a
+        # 14-digit numerator
+        n = 10**13 + 37
+        curves = {"p": poly_parse(f"x + y - {n + 1}", XY), "q": poly_parse(f"x - y - {n - 1}", XY),
+                  "r": poly_parse(f"y - 1 + (x - {n})^2", XY)}
+        assert genericity._triple_verdicts(curves, DEFAULT_SEED)["p", "q", "r"] == (
+            FAIL, "triple point: common point over x = 20000000000071/2")
+
 
 class TestDispositions:
     def test_line_y0_fails_on_circle(self):

@@ -731,8 +731,30 @@ class TestUnivariate:
 
     def test_rational_roots(self):
         p = (X - ExactPoly.const(XY, Fraction(2, 3))) * (X + ExactPoly.const(XY, 5)) * X
-        roots, complete = rational_roots(p)
-        assert complete and set(roots) == {Fraction(0), Fraction(2, 3), Fraction(-5)}
+        assert rational_roots(p) == [Fraction(0), Fraction(2, 3), Fraction(-5)]
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.builds(Fraction, st.integers(-2**80, 2**80),
+                                        st.integers(1, 2**80)),
+                              st.integers(1, 3)), max_size=4))
+    def test_rational_roots_are_the_linear_factors(self, factors):
+        p = X * X + ONE
+        for root, multiplicity in factors:
+            p = p * (X - ExactPoly.const(XY, root)) ** multiplicity
+        expected = sorted({root for root, _ in factors},
+                          key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        assert rational_roots(p) == expected
+
+    @pytest.mark.parametrize("text,roots", [
+        # numerator 10^30 + 7 and denominator 2^70 lie far beyond divisor enumeration
+        (f"(x^2 + 1)*({3**40}*x - {10**30 + 7})*({2**70}*x + 5)*(x - 1)*(7*x + 2)",
+         [Fraction(1), Fraction(-2, 7), Fraction(-5, 2**70), Fraction(10**30 + 7, 3**40)]),
+        # 1 = 211 mod 3, 5 and 7, so the roots are lifted from p = 11
+        ("(x - 1)*(x - 211)", [Fraction(1), Fraction(211)]),
+        ("x^3*(2*x - 3)*(x + 3)", [Fraction(0), Fraction(-3), Fraction(3, 2)]),
+    ])
+    def test_rational_roots_fixed_cases(self, text, roots):
+        assert rational_roots(poly_parse(text, XY)) == roots
 
 
 P = polyring._GCD_PRIME
