@@ -34,10 +34,10 @@ from .jetbuilder import (
 )
 from .divisibility import (
     AssemblyError,
-    ConstraintSystem,
     SectionCertificate,
     assemble_divisibility_system,
     build_section,
+    jet_matrix,
     kernel_basis,
     solution_dimension,
     unknown_labels,
@@ -89,6 +89,7 @@ from .counting import (
     e_upper_bound,
     euler_characteristic,
     minimal_admissible_d,
+    unpruned_row_bound,
 )
 
 __version__ = "0.1.0"

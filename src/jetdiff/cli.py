@@ -15,7 +15,8 @@ import random
 import sys
 import tempfile
 
-from .counting import chi_cross_check_2_3, count_report, e_upper_bound, euler_characteristic
+from .counting import (chi_cross_check_2_3, count_report, e_upper_bound,
+                       euler_characteristic, unpruned_row_bound)
 from .divisibility import (
     SectionContexts,
     assemble_divisibility_system,
@@ -189,7 +190,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     body.update({
         "columns": len(system.columns),
         "rows": len(system.rows),
-        "unpruned_row_bound": system.unpruned_row_bound,
+        "unpruned_row_bound": unpruned_row_bound(surf.d, surf.e, spec.m, spec.a, spec.c),
         "dimension": len(basis),
         "kernel": kernel_to_json(system, basis),
         "certificates": [cert.to_json_dict() for cert in certificates],

@@ -2,7 +2,7 @@
 
 Everything here is plain integer/rational arithmetic on the parameters
 (d, e, m, a, c): degrees of freedom of the coefficient field, the
-exinscribed-rectangle bound on the number of divisibility constraints,
+exinscribed-rectangle bounds on the number of divisibility constraints,
 the cubic threshold polynomial whose first non-negative integer argument
 is 752, and the Euler characteristic polynomial of the symmetric
 differential bundle, evaluated exactly as printed.
@@ -26,6 +26,11 @@ def constraint_bound(d: int, e: int, m: int) -> int:
     if d < 1 or e < 1 or m < 1:
         raise ValueError("constraint_bound requires positive d, e, m")
     return (m + 1) * d * (d + d * m + e * m)
+
+
+def unpruned_row_bound(d: int, e: int, m: int, a: int, c: int) -> int:
+    """Bound (m+1)*c*(a+dm+em+1) on the divisibility rows; constraint_bound at a=d-1, c=d."""
+    return (m + 1) * c * (a + d * m + e * m + 1)
 
 
 def cubic_value(d: int) -> Fraction:

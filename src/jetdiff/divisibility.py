@@ -1,18 +1,18 @@
-"""The divisibility linear system and its certified kernel sections.
+"""The A -> J matrix, the divisibility system, and certified kernel sections.
 
 The unknowns are the coefficients A[j,k,p,q]^{h,i} (one per index tuple
-j+k+p+q = m and monomial h+i <= a); the constraints say that every
-expansion coefficient Lambda[alpha,beta] is divisible by y^c, i.e. that
-the coefficient of each monomial x^h' y^i' with i' < c vanishes.  Its
-columns are built from the jet term bases with every factor and product
-cut below y^c, and a test checks that its rows are the rows of the A -> J
-matrix of y-degree below c, on the same columns.  It is solved exactly (a
+j+k+p+q = m and monomial h+i <= a).  `jet_matrix` is the one builder of
+the A -> J matrix, whose rows are the monomials x^h' y^i' x'^alpha y'^beta.
+The constraints that every Lambda[alpha,beta] is divisible by y^c, i.e.
+that each coefficient with i' < c vanishes, are its rows of y-degree below
+c, on the same columns, built from jet term bases cut below y^c.  This
+divisibility system is solved exactly (a
 kernel certified mod p and verified by an exact matvec, else
 fraction-free elimination), and every kernel vector is re-verified
 through the independent route, expand_lambda and monomial_quotient,
 before a certificate is issued.  One solve certifies all its kernel
 vectors through one SectionContexts, so each route forms its heavy
-products once.
+products once, and each vector's J is realised once.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .surfacecharts import (
 )
 
 ColumnLabel = tuple[int, int, int, int, int, int]   # (j, k, p, q, h, i)
-RowLabel = tuple[int, int, int, int]                # (alpha, beta, h', i')
 
 
 class AssemblyError(RuntimeError):
@@ -58,52 +57,41 @@ def unknown_labels(spec: JetSpec) -> list[ColumnLabel]:
             for (h, i) in monomials_upto(spec.a)]
 
 
-@dataclass(frozen=True)
-class ConstraintSystem(linalg.SparseMatrix):
-    """The divisibility matrix: rows are monomials, columns unknowns."""
+def jet_matrix(surf: SurfacePair, m: int, a: int,
+               y_below: int | None = None) -> linalg.SparseMatrix:
+    """The matrix of A -> J, or its rows of y-degree below y_below.
 
-    unpruned_row_bound: int   # the exinscribed rectangle (m+1)*c*(a+dm+em+1)
-
-    def to_triplet_text(self) -> str:
-        """Sparse export: header `rows cols`, then one `row col num/den` per entry."""
-        lines = [f"{len(self.rows)} {len(self.columns)}"]
-        for ri, row in enumerate(self.row_entries):
-            for ci in sorted(row):
-                value = row[ci]
-                lines.append(f"{ri} {ci} {value.numerator}/{value.denominator}")
-        return "\n".join(lines) + "\n"
-
-
-def assemble_divisibility_system(surf: SurfacePair, spec: JetSpec) -> ConstraintSystem:
-    """Matrix of the constraints `y^c divides every Lambda[alpha,beta]`.
-
-    Column (j,k,p,q,h,i) is the jet x^h y^i * jet_term_base(j,k,p,q) of the
-    unit field A[j,k,p,q] = x^h y^i; row (alpha,beta,h',i') with i' < c is
-    its coefficient of x^h' y^i' x'^alpha y'^beta.  The bases come from
-    `JetContext(surf, y_below=c)`, whose factors and products are all cut
-    below y^c; this is exact because a term of y-degree >= c only yields
-    terms of y-degree >= c.  Each tuple's base is read once and shifted
-    monomially.  Rows whose linear form is identically zero never
-    materialise.
+    Column (j,k,p,q,h,i), in the order of `unknown_labels`, is the jet
+    x^h y^i * jet_term_base(j,k,p,q) of the unit field A[j,k,p,q] = x^h y^i;
+    rows are the realised exponents (x, y, x', y'), graded-lex.  The bases
+    come from `JetContext(surf, y_below=y_below)`, whose factors and products
+    are all cut below that y-degree (exactly).  Each tuple's base is read
+    once and shifted monomially.  `JetSpec` refuses m < 1 and a < 0.
     """
-    m, c, a = spec.m, spec.c, spec.a
-    ctx = JetContext(surf, y_below=c)
+    labels = unknown_labels(JetSpec(m=m, c=0, a=a))
+    ctx = JetContext(surf, y_below=y_below)
+    top = float("inf") if y_below is None else y_below
     shifts = list(monomials_upto(a))
-    column_maps: list[dict[RowLabel, int | Fraction]] = []
+    column_maps: list[dict[tuple, int | Fraction]] = []
     for t in index_tuples(m):
-        low = [(alpha, beta, mh, mi, coeff) for (mh, mi, alpha, beta), coeff
-               in ctx.jet_term_base(t, m).coefficients().items()]
-        column_maps.extend({(alpha, beta, mh + h, mi + i): coeff
-                            for alpha, beta, mh, mi, coeff in low if mi + i < c}
+        terms = ctx.jet_term_base(t, m).coefficients().items()
+        column_maps.extend({(eh + h, ei + i, alpha, beta): coeff
+                            for (eh, ei, alpha, beta), coeff in terms if ei + i < top}
                            for h, i in shifts)
     del ctx  # the memoised products are not needed to build the matrix
-    bound = (m + 1) * c * (a + surf.d * m + surf.e * m + 1)
-    return ConstraintSystem.from_columns(
-        unknown_labels(spec), column_maps, lambda r: (r[0], r[1], r[2] + r[3], -r[2]),
-        unpruned_row_bound=bound)
+    return linalg.SparseMatrix.from_columns(labels, column_maps, lambda e: (sum(e), e))
 
 
-def kernel_basis(system: ConstraintSystem) -> list[list[Fraction]]:
+def assemble_divisibility_system(surf: SurfacePair, spec: JetSpec) -> linalg.SparseMatrix:
+    """Matrix of the constraints `y^c divides every Lambda[alpha,beta]`.
+
+    These are the rows of the A -> J matrix of y-degree below c; rows whose
+    linear form is identically zero never materialise.
+    """
+    return jet_matrix(surf, spec.m, spec.a, spec.c)
+
+
+def kernel_basis(system: linalg.SparseMatrix) -> list[list[Fraction]]:
     """Exact basis of the nullspace; every vector satisfies system . v = 0."""
     return system.kernel()
 
@@ -155,14 +143,16 @@ class SectionCertificate:
 class SectionContexts:
     """One memoised context per certification route, for the vectors of one solve.
 
-    `jet` realises J (and the direct side of each chart transfer), `terms`
+    `jet` realises J (also the direct side of each chart transfer), `terms`
     feeds the expansion route, `surface` the surface restriction and
     `charts` the transferred side in each chart at infinity (only built when
     spec is holomorphic at infinity).  The J and the expansion routes share
-    no cache, so their agreement stays an independent check.
+    no cache, so their agreement stays an independent check.  `infinity` is
+    the exponent audit, which depends on spec alone.
     """
 
     def __init__(self, surf: SurfacePair, spec: JetSpec):
+        self.infinity = verify_infinity_exponents(spec)
         self.jet = JetContext(surf)
         self.terms = LambdaTerms(surf)
         self.surface = surface_context(surf)
@@ -194,10 +184,8 @@ def build_section(surf: SurfacePair, spec: JetSpec, vector: list[Fraction],
     if not exact:
         raise AssemblyError("jet not divisible although every Lambda was")
     _, restriction_exact = restrict_to_surface(field, surf, spec, contexts.surface)
-    infinity_report = verify_infinity_exponents(spec)
     transfer_ok = spec.holomorphic_at_infinity and all(
-        full_chart_transfer(field, surf, spec, chart, contexts.charts[chart],
-                            contexts.jet).identity_ok
+        full_chart_transfer(field, surf, spec, chart, contexts.charts[chart], jet).identity_ok
         for chart in CHARTS)
     return SectionCertificate(
         field=field,
@@ -206,13 +194,14 @@ def build_section(surf: SurfacePair, spec: JetSpec, vector: list[Fraction],
         checks={
             "y_divisible": True,
             "surface_restriction_exact": restriction_exact,
-            "infinity_exponents_ok": infinity_report.passed,
+            "infinity_exponents_ok": contexts.infinity.passed,
             "chart_transfer_verified": transfer_ok,
         },
     )
 
 
-def kernel_to_json(system: ConstraintSystem, basis: list[list[Fraction]]) -> list[dict[str, str]]:
+def kernel_to_json(system: linalg.SparseMatrix,
+                   basis: list[list[Fraction]]) -> list[dict[str, str]]:
     """JSON export: one object per vector, unknown label -> rational string."""
     out = []
     for vector in basis:

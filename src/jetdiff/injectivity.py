@@ -8,7 +8,9 @@ exact matvec verifies; otherwise Bareiss elimination over Q decides it (see
 witness when the map is not injective.
 
 * the map A -> J from coefficient fields (degree cap a <= d-2) to jet
-  polynomials has trivial kernel on audited-generic surfaces;
+  polynomials has trivial kernel on audited-generic surfaces; its matrix
+  is `divisibility.jet_matrix`, the same builder whose rows below y^c
+  are the divisibility system;
 
 * the reduced map (A[p,q]) -> sum A[p,q] R_x^p S_x^q R^(m-p) S^(m-q) with
   deg A[p,q] <= d-1 has trivial kernel;
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from operator import add
 
 from . import linalg
-from .divisibility import unknown_labels, vector_to_field
+from .divisibility import jet_matrix, vector_to_field
 from .genericity import (
     DEFAULT_SEED,
     GenericityReport,
@@ -43,7 +45,6 @@ from .genericity import (
 from .jetbuilder import (
     XY,
     CoefficientField,
-    JetContext,
     JetSpec,
     LambdaTerms,
     SurfacePair,
@@ -61,9 +62,9 @@ class GenericityGateError(RuntimeError):
 
 def _matrix_from_shifts(columns: list, groups: list[tuple[ExactPoly, list[tuple]]]
                         ) -> linalg.SparseMatrix:
-    """Columns are the coefficient vectors of base * x^shift, taken in order over
-    the (base, shifts) groups; rows are their monomials, graded-lex.  The
-    coefficients of each base are read once for all its shifts."""
+    """The plane matrices: columns are the coefficient vectors of base * x^shift,
+    in order over the (base, shifts) groups; rows are their monomials,
+    graded-lex.  The coefficients of each base are read once for all shifts."""
     column_maps = []
     for base, shifts in groups:
         terms = base.coefficients().items()
@@ -74,23 +75,17 @@ def _matrix_from_shifts(columns: list, groups: list[tuple[ExactPoly, list[tuple]
 
 def injectivity_matrix(surf: SurfacePair, m: int, a: int,
                        enforce_cap: bool = True) -> linalg.SparseMatrix:
-    """The matrix of A -> J in the canonical bases.
+    """The matrix of A -> J in the canonical bases, `divisibility.jet_matrix`.
 
-    Columns are the unknowns (j,k,p,q,h,i) in the order of
-    `divisibility.unknown_labels`, in which `vector_to_field` reads a kernel
-    vector back; rows the realised monomials of the jet polynomial in
-    (x, y, x', y').  `JetSpec` refuses m < 1 and a < 0.  The degree cap
-    a <= d-2 is the theorem's hypothesis; pass enforce_cap=False only to
-    record what happens beyond it.
+    Columns are the unknowns (j,k,p,q,h,i) in the order in which
+    `vector_to_field` reads a kernel vector back; rows the realised
+    monomials of the jet polynomial in (x, y, x', y'), graded-lex.  The
+    degree cap a <= d-2 is the theorem's hypothesis; pass enforce_cap=False
+    only to record what happens beyond it.
     """
-    spec = JetSpec(m=m, c=0, a=a)
-    if enforce_cap and not spec.injectivity_cap_ok(surf.d):
+    if enforce_cap and not JetSpec(m=m, c=0, a=a).injectivity_cap_ok(surf.d):
         raise ValueError(f"degree cap violated: a={a} > d-2={surf.d - 2}")
-    ctx = JetContext(surf)
-    # index tuples, then monomials: the order of unknown_labels
-    shifts = [(h, i, 0, 0) for (h, i) in monomials_upto(a)]
-    return _matrix_from_shifts(unknown_labels(spec), [(ctx.jet_term_base(t, m), shifts)
-                                                      for t in index_tuples(m)])
+    return jet_matrix(surf, m, a)
 
 
 @dataclass(frozen=True)

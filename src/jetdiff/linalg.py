@@ -42,8 +42,6 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 SparseRow = dict[int, int | Fraction]
 
 _PRIME = (1 << 61) - 1
-# residues with |n|, d <= this bound have at most one reconstruction n/d
-_RECONSTRUCTION_BOUND = isqrt(_PRIME // 2)
 
 
 def _to_primitive_int_row(row: SparseRow) -> dict[int, int]:
@@ -200,9 +198,8 @@ def _reduced_echelon_mod_p(monic: dict[int, list[int]], ncols: int) -> dict[int,
     return reduced
 
 
-def _rational_reconstruction(residue: int) -> tuple[int, int] | None:
+def _rational_reconstruction(residue: int, bound: int) -> tuple[int, int] | None:
     """(n, d) with n = d * residue mod p, |n| and 0 < d within the bound, or None."""
-    bound = _RECONSTRUCTION_BOUND
     if residue <= bound:
         return residue, 1
     if _PRIME - residue <= bound:
@@ -223,6 +220,7 @@ def _modular_nullspace(int_rows: list[dict[int, int]], ncols: int) -> list[list[
     if len(monic) == ncols:
         return []
     reduced = _reduced_echelon_mod_p(monic, ncols)
+    bound = isqrt(_PRIME // 2)  # a residue has at most one reconstruction within it
     columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
     for i, row in enumerate(int_rows):
         for j, v in row.items():
@@ -234,7 +232,7 @@ def _modular_nullspace(int_rows: list[dict[int, int]], ncols: int) -> list[list[
         entries = {free: (1, 1)}
         for col, row in reduced.items():
             if col < free and row[free - col]:
-                fraction = _rational_reconstruction(_PRIME - row[free - col])
+                fraction = _rational_reconstruction(_PRIME - row[free - col], bound)
                 if fraction is None:
                     return None
                 entries[col] = fraction
@@ -324,11 +322,11 @@ class SparseMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence,
                      column_maps: Sequence[Mapping[Hashable, int | Fraction]],
-                     row_key: Callable[[Hashable], object], **fields):
+                     row_key: Callable[[Hashable], object]) -> "SparseMatrix":
         """The matrix whose column ci holds column_maps[ci][label] in row `label`.
 
         Rows are the labels with a nonzero coefficient in some column, sorted
-        by row_key.  Extra keyword fields go to the constructor of a subclass.
+        by row_key.
         """
         rows = tuple(sorted({label for entries in column_maps
                              for label, coeff in entries.items() if coeff}, key=row_key))
@@ -338,7 +336,7 @@ class SparseMatrix:
             for label, coeff in entries.items():
                 if coeff:
                     row_entries[row_index[label]][ci] = coeff
-        return cls(columns=tuple(columns), rows=rows, row_entries=tuple(row_entries), **fields)
+        return cls(columns=tuple(columns), rows=rows, row_entries=tuple(row_entries))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -352,3 +350,10 @@ class SparseMatrix:
 
     def kernel(self) -> list[list[Fraction]]:
         return nullspace(list(self.row_entries), len(self.columns))
+
+    def to_triplet_text(self) -> str:
+        """Sparse export: header `rows cols`, then one `row col num/den` per entry."""
+        lines = [f"{len(self.rows)} {len(self.columns)}"]
+        lines.extend(f"{ri} {ci} {row[ci].numerator}/{row[ci].denominator}"
+                     for ri, row in enumerate(self.row_entries) for ci in sorted(row))
+        return "\n".join(lines) + "\n"

@@ -223,19 +223,20 @@ def chart_context(surf: SurfacePair, chart: str) -> JetContext:
 
 def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
                         chart: str = INV_X, ctx: JetContext | None = None,
-                        jet_ctx: JetContext | None = None) -> TransferResult:
+                        jet: ExactPoly | None = None) -> TransferResult:
     """Transfer the jet differential through the 1/x or 1/y chart change.
 
     Returns the polynomial factor that multiplies u^(c-a-4m) (u the inverted
     coordinate) in the transferred differential, and verifies against the
     directly substituted jet that u^(a+dm+em+2m) * (substituted J) equals the
     returned polynomial, bit-exactly.  ctx, when given, is
-    `chart_context(surf, chart)`, and jet_ctx is `JetContext(surf)` for the
-    direct side; both may be shared with other calls.
+    `chart_context(surf, chart)`, shared with other calls, and jet is the
+    field's J (`build_jet`), the direct side.
     """
     if not spec.holomorphic_at_infinity:
         raise ValueError(f"chart transfer requires a <= c - 4m, got a={spec.a}, "
                          f"c={spec.c}, m={spec.m}")
+    validate_field(field, spec)
     d, e, m, a = surf.d, surf.e, spec.m, spec.a
     # The per-term residual equals (a - h - i) + (p + q) because j+k+p+q = m:
     # the first part is the chart polynomial of A at degree a, the second
@@ -244,7 +245,8 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
                         for t, a_poly in field.items() for (h, i) in a_poly.num), default=0)
     transferred = (chart_context(surf, chart) if ctx is None else ctx).realize(
         field, lambda a_poly: _chart_polynomial(a_poly, a, chart))
-    direct = _chart_polynomial(build_jet(field, surf, spec, jet_ctx), a + d * m + e * m, chart)
+    direct = _chart_polynomial(build_jet(field, surf, spec) if jet is None else jet,
+                               a + d * m + e * m, chart)
     return TransferResult(
         chart=chart,
         transferred=transferred,

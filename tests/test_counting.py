@@ -17,6 +17,7 @@ from jetdiff.counting import (
     e_upper_bound,
     euler_characteristic,
     minimal_admissible_d,
+    unpruned_row_bound,
 )
 from conftest import dof_enumerated
 
@@ -57,6 +58,14 @@ class TestConstraintBound:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             constraint_bound(0, 1, 1)
+
+    def test_unpruned_row_bound_at_the_canonical_a_and_c(self):
+        # a = d - 1, c = d turns (m+1) c (a+dm+em+1) into (m+1) d (d+dm+em)
+        for d in range(1, 9):
+            for e in range(d, 9):
+                for m in range(1, 4):
+                    assert unpruned_row_bound(d, e, m, d - 1, d) == constraint_bound(d, e, m)
+        assert unpruned_row_bound(5, 5, 1, 1, 5) == 2 * 5 * (1 + 5 + 5 + 1)
 
 
 class TestCubicThreshold:

@@ -1,11 +1,12 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from jetdiff import divisibility
-from jetdiff.counting import dof
+from jetdiff.counting import dof, unpruned_row_bound
 from jetdiff.divisibility import (
     AssemblyError,
     SectionCertificate,
@@ -19,6 +20,7 @@ from jetdiff.divisibility import (
     vector_to_field,
 )
 from jetdiff.jetbuilder import (
+    JET_VARS,
     XY,
     CoefficientField,
     JetContext,
@@ -62,8 +64,9 @@ class TestAssembly:
         spec = JetSpec(m=1, c=5, a=1)
         system = assemble_divisibility_system(surf, spec)
         assert len(system.columns) == 12
-        assert system.unpruned_row_bound == (1 + 1) * 5 * (1 + 5 + 5 + 1)
-        assert len(system.rows) <= system.unpruned_row_bound
+        bound = unpruned_row_bound(surf.d, surf.e, spec.m, spec.a, spec.c)
+        assert bound == (1 + 1) * 5 * (1 + 5 + 5 + 1)
+        assert len(system.rows) <= bound
 
     def test_column_faithfulness(self):
         # oracle: the expansion route, one unit field per column, on every column
@@ -78,14 +81,15 @@ class TestAssembly:
                     actual[ci][label] = value
             for ci, (j, k, p, q, h, i) in enumerate(system.columns):
                 expansion = expand_lambda(unit_field(spec.m, (j, k, p, q), h, i), surf, spec)
-                expected = {(alpha, beta, mh, mi): coeff
+                expected = {(mh, mi, alpha, beta): coeff
                             for (alpha, beta), poly in expansion.entries.items()
                             for (mh, mi), coeff in poly.terms.items() if mi < spec.c}
                 assert actual[ci] == expected
 
     def test_rows_are_the_low_y_rows_of_the_jet_matrix(self, monkeypatch):
-        # D is M = injectivity_matrix cut below y^c, relabelled (h',i',alpha,beta)
-        # -> (alpha,beta,h',i') on the same columns; the assembly never expands
+        # D is M = injectivity_matrix cut below y^c: its rows are the rows of
+        # M with i' < c, in M's order and on the same columns, each equal to
+        # M's row under the same label; the assembly never expands
         def no_expansion(*args, **kwargs):
             raise AssertionError("assembly reached expand_lambda")
         monkeypatch.setattr(divisibility, "expand_lambda", no_expansion)
@@ -93,21 +97,21 @@ class TestAssembly:
         for surf, m, a in ((integral, 1, 1), (integral, 2, 1), (integral, 1, 3),
                            (FRACTIONAL_SURFACE, 2, 2)):
             matrix = injectivity_matrix(surf, m, a, enforce_cap=False)
+            rows = dict(zip(matrix.rows, matrix.row_entries))
             top = max(label[1] for label in matrix.rows)
             for c in (0, top // 2, top + 1):
                 system = assemble_divisibility_system(surf, JetSpec(m=m, c=c, a=a))
-                expected = {(alpha, beta, h, i): row
-                            for (h, i, alpha, beta), row in zip(matrix.rows, matrix.row_entries)
-                            if i < c}
                 assert system.columns == matrix.columns
-                assert dict(zip(system.rows, system.row_entries)) == expected
-            assert len(expected) == len(matrix.rows)  # c = top + 1 keeps every row
+                assert system.rows == tuple(label for label in matrix.rows if label[1] < c)
+                assert all(row == rows[label]
+                           for label, row in zip(system.rows, system.row_entries))
+            assert system.rows == matrix.rows  # c = top + 1 keeps every row
 
     def test_row_order_is_canonical(self):
         surf = surface(seed=11)
         system = assemble_divisibility_system(surf, JetSpec(m=1, c=2, a=1))
-        keys = [(r[0], r[1], r[2] + r[3], -r[2]) for r in system.rows]
-        assert keys == sorted(keys)
+        keys = [(sum(r), r) for r in system.rows]
+        assert keys == sorted(set(keys))  # graded-lex in (x, y, x', y'), no repeats
 
 
 class TestKernel:
@@ -261,28 +265,55 @@ class TestSharedContexts:
         assert len(set(formed)) == len(formed)
 
 
+class TestOneRealisationOfJ:
+    def test_each_vector_realises_its_jet_once(self, monkeypatch):
+        # the chart transfers reuse build_section's J: every realisation in
+        # the jet variables, in any context, is one call of contexts.jet per
+        # vector; the certificates are pinned by the digest of their JSON
+        # from before that reuse
+        surf, spec = DENSE_CUBIC_SURFACE, JetSpec(m=1, c=7, a=3)
+        basis = kernel_basis(assemble_divisibility_system(surf, spec))
+        contexts = SectionContexts(surf, spec)
+        realized = []
+        realize = JetContext.realize
+
+        def spy(owner, *args):
+            if owner.target == JET_VARS:
+                realized.append(owner)
+            return realize(owner, *args)
+
+        monkeypatch.setattr(JetContext, "realize", spy)
+        certificates = [build_section(surf, spec, v, contexts).to_json_dict() for v in basis]
+        assert len(basis) == 2 and realized == [contexts.jet] * len(basis)
+        assert all(all(cert["checks"].values()) for cert in certificates)
+        text = json.dumps(certificates, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e5d07af1397288ec6b03da0a759079ee4d4b07e6dfc1faa348c558a37817fabc")
+
+
 class TestExports:
     def test_triplet_round_trip(self):
         surf = surface(seed=59)
-        system = assemble_divisibility_system(surf, JetSpec(m=1, c=1, a=0))
-        text = system.to_triplet_text()
-        lines = text.strip().splitlines()
-        nrows, ncols = map(int, lines[0].split())
-        assert (nrows, ncols) == system.shape
-        rebuilt = [dict() for _ in range(nrows)]
-        for line in lines[1:]:
-            r, c, value = line.split()
-            num, den = value.split("/")
-            rebuilt[int(r)][int(c)] = Fraction(int(num), int(den))
-        assert rebuilt == [dict(r) for r in system.row_entries]
+        for system in (assemble_divisibility_system(surf, JetSpec(m=1, c=1, a=0)),
+                       injectivity_matrix(surf, 1, 1)):
+            text = system.to_triplet_text()
+            lines = text.strip().splitlines()
+            nrows, ncols = map(int, lines[0].split())
+            assert (nrows, ncols) == system.shape
+            rebuilt = [dict() for _ in range(nrows)]
+            for line in lines[1:]:
+                r, c, value = line.split()
+                num, den = value.split("/")
+                rebuilt[int(r)][int(c)] = Fraction(int(num), int(den))
+            assert rebuilt == [dict(r) for r in system.row_entries]
 
     def test_triplet_text_digest(self):
-        # pins the row order and every value of one small assembled system
+        # pins the graded-lex row order and every value of one small assembled system
         surf = random_surface_pair(random.Random(5), 3, 3)
         system = assemble_divisibility_system(surf, JetSpec(m=1, c=2, a=1))
         assert system.shape == (30, 12)
         digest = hashlib.sha256(system.to_triplet_text().encode()).hexdigest()
-        assert digest == "4c1fc091223844deb4626c1658be3682c2db49dc529098e862926a05bacb1afa"
+        assert digest == "174a418eef20e9e51180b4ced87900f4868eb2e454592277e0709187bb4891ba"
 
     def test_kernel_json_labels(self):
         surf = surface(seed=61)

@@ -249,7 +249,8 @@ class TestTriangularReduction:
             raise AssertionError("JetContext built on the expansion route")
 
         monkeypatch.setattr("jetdiff.jetbuilder.JetContext", no_context)
-        monkeypatch.setattr("jetdiff.injectivity.JetContext", no_context)
+        # injectivity builds its contexts only through divisibility.jet_matrix
+        monkeypatch.setattr("jetdiff.divisibility.JetContext", no_context)
         assert expand_lambda(fields[0], surf, spec).reconstruct() == expected[0]
         terms = LambdaTerms(surf)
         assert [expand_lambda(field, surf, spec, terms).reconstruct()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from jetdiff.sampling import random_generic_surface
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 P = linalg._PRIME
-BOUND = linalg._RECONSTRUCTION_BOUND
+BOUND = isqrt(P // 2)
 
 
 def F(value, den=1):
@@ -211,6 +212,16 @@ def test_nullspace_equals_exact_route(matrix):
         assert modular == exact
 
 
+@PROPERTY
+@given(matrices() | planted_kernel_matrices(), st.randoms(use_true_random=False))
+def test_nullspace_is_independent_of_row_order(matrix, rng):
+    # the normalised basis is unique, so a matrix builder may order its rows freely
+    rows, ncols = matrix
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert nullspace(shuffled, ncols) == nullspace(rows, ncols)
+
+
 def spy_row_echelon(monkeypatch):
     """Record the width of every `row_echelon` call; the calls still run."""
     calls = []
@@ -227,7 +238,7 @@ def spy_row_echelon(monkeypatch):
 def test_kernel_entry_beyond_the_bound_falls_back(monkeypatch):
     # 2^40 + 1 = (2^21 + 1) / 2^21 mod p reconstructs within the bound, so
     # only the exact matvec rejects the modular vector
-    assert linalg._rational_reconstruction((2**40 + 1) % P) == (2**21 + 1, 2**21)
+    assert linalg._rational_reconstruction((2**40 + 1) % P, BOUND) == (2**21 + 1, 2**21)
     calls = spy_row_echelon(monkeypatch)
     assert nullspace([{0: F(1), 1: F(-(2**40 + 1))}], 2) == [[2**40 + 1, 1]]
     assert calls == [2]

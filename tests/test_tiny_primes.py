@@ -16,7 +16,6 @@ in test_linalg.py, and the d = 8 audit spy
 import hashlib
 import json
 from collections import Counter
-from math import isqrt
 
 import pytest
 
@@ -40,7 +39,6 @@ KERNEL_SOLVE = ["solve", "--surface", "{surface}", "--m", "1", "--c", "4", "--a"
 def _patch_primes(monkeypatch):
     monkeypatch.setattr(polyring, "_GCD_PRIME", 7)
     monkeypatch.setattr(linalg, "_PRIME", 8191)
-    monkeypatch.setattr(linalg, "_RECONSTRUCTION_BOUND", isqrt(8191 // 2))
 
 
 def _count_exact_routes(monkeypatch) -> Counter:
