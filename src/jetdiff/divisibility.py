@@ -2,23 +2,25 @@
 
 The unknowns are the coefficients A[j,k,p,q]^{h,i} (one per index tuple
 j+k+p+q = m and monomial h+i <= a).  `jet_matrix` is the one builder of
-the A -> J matrix, whose rows are the monomials x^h' y^i' x'^alpha y'^beta.
-The constraints that every Lambda[alpha,beta] is divisible by y^c, i.e.
-that each coefficient with i' < c vanishes, are its rows of y-degree below
-c, on the same columns, built from jet term bases cut below y^c.  This
-divisibility system is solved exactly (a
-kernel certified mod p and verified by an exact matvec, else
-fraction-free elimination), and every kernel vector is re-verified
-through the independent route, expand_lambda and monomial_quotient,
-before a certificate is issued.  One solve certifies all its kernel
-vectors through one SectionContexts, so each route forms its heavy
-products once, and each vector's J is realised once.
+the A -> J matrix, whose rows are the monomials x^h' y^i' x'^alpha y'^beta;
+it shifts the jet term bases through `shift_matrix`, which builds every
+exact matrix of the package.  The constraints that every Lambda[alpha,beta]
+is divisible by y^c, i.e. that each coefficient with i' < c vanishes, are
+its rows of y-degree below c, on the same columns, built from jet term
+bases cut below y^c.  This divisibility system is solved exactly (a kernel
+certified mod p and verified by an exact matvec, else fraction-free
+elimination), and every kernel vector is re-verified through the
+independent route, expand_lambda and monomial_quotient, before a
+certificate is issued.  One solve certifies all its kernel vectors through
+one SectionContexts, so each route forms its heavy products once, and each
+vector's J is realised once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from . import linalg
 from .jetbuilder import (
@@ -57,6 +59,33 @@ def unknown_labels(spec: JetSpec) -> list[ColumnLabel]:
             for (h, i) in monomials_upto(spec.a)]
 
 
+def shift_matrix(groups: Iterable[tuple[tuple, ExactPoly, Sequence[tuple[int, int]]]],
+                 y_below: int | None = None) -> linalg.SparseMatrix:
+    """The one builder of every exact matrix: bases shifted by monomials.
+
+    Each group (key, base, shifts) gives, for each shift (h, i) in order,
+    the column key + (h, i) holding the coefficients of x^h y^i * base; x
+    and y are the first two variables of every base ring.  Rows are the
+    realised exponents, graded-lex by (sum(e), e), and only those of
+    y-degree below y_below when it is given.  Each base's coefficients are
+    read once for all its shifts.
+    """
+    top = float("inf") if y_below is None else y_below
+    columns: list[tuple] = []
+    by_row: dict[tuple, linalg.SparseRow] = {}
+    for key, base, shifts in groups:
+        terms = [(e[0], e[1], e[2:], coeff) for e, coeff in base.coefficients().items()]
+        for h, i in shifts:
+            ci = len(columns)
+            columns.append(key + (h, i))
+            for eh, ei, rest, coeff in terms:
+                if ei + i < top:
+                    by_row.setdefault((eh + h, ei + i) + rest, {})[ci] = coeff
+    rows = sorted(by_row, key=lambda e: (sum(e), e))
+    return linalg.SparseMatrix(columns=tuple(columns), rows=tuple(rows),
+                               row_entries=tuple(by_row[e] for e in rows))
+
+
 def jet_matrix(surf: SurfacePair, m: int, a: int,
                y_below: int | None = None) -> linalg.SparseMatrix:
     """The matrix of A -> J, or its rows of y-degree below y_below.
@@ -65,21 +94,15 @@ def jet_matrix(surf: SurfacePair, m: int, a: int,
     x^h y^i * jet_term_base(j,k,p,q) of the unit field A[j,k,p,q] = x^h y^i;
     rows are the realised exponents (x, y, x', y'), graded-lex.  The bases
     come from `JetContext(surf, y_below=y_below)`, whose factors and products
-    are all cut below that y-degree (exactly).  Each tuple's base is read
-    once and shifted monomially.  `JetSpec` refuses m < 1 and a < 0.
+    are all cut below that y-degree (exactly).  `JetSpec` refuses m < 1 and
+    a < 0.
     """
-    labels = unknown_labels(JetSpec(m=m, c=0, a=a))
+    JetSpec(m=m, c=0, a=a)
     ctx = JetContext(surf, y_below=y_below)
-    top = float("inf") if y_below is None else y_below
     shifts = list(monomials_upto(a))
-    column_maps: list[dict[tuple, int | Fraction]] = []
-    for t in index_tuples(m):
-        terms = ctx.jet_term_base(t, m).coefficients().items()
-        column_maps.extend({(eh + h, ei + i, alpha, beta): coeff
-                            for (eh, ei, alpha, beta), coeff in terms if ei + i < top}
-                           for h, i in shifts)
+    groups = [(t, ctx.jet_term_base(t, m), shifts) for t in index_tuples(m)]
     del ctx  # the memoised products are not needed to build the matrix
-    return linalg.SparseMatrix.from_columns(labels, column_maps, lambda e: (sum(e), e))
+    return shift_matrix(groups, y_below)
 
 
 def assemble_divisibility_system(surf: SurfacePair, spec: JetSpec) -> linalg.SparseMatrix:

@@ -185,8 +185,6 @@ def _binary_squarefree(form: ExactPoly, degree: int) -> bool:
 def _binary_forms_common_root(forms: list[ExactPoly]) -> bool:
     """True iff the nonzero binary forms share a projective root."""
     nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        return True
     # the direction [1:0] (y = 0): every form must kill its pure x power
     if all(f.coefficient((f.total_degree(), 0)) == 0 for f in nonzero):
         return True
@@ -214,14 +212,14 @@ def _verify_affine_point_candidates(g: ExactPoly, system: list[ExactPoly]) -> st
     """Check rational roots of g for genuine common solutions of the system.
 
     Returns a witness for the first root that is one, else None; system
-    entries are bivariate, specialised at each candidate x-value.
+    entries are bivariate, specialised at each candidate x-value.  The first
+    entry keeps its pure y^deg term (`_keeps_top_y`), so its specialisation
+    is never zero.
     """
     for x0 in rational_roots(g):
         x0_poly = ExactPoly.const(XY, x0)
         specialised = [poly_substitute(p, {"x": x0_poly, "y": ExactPoly.variable(XY, "y")})
                        for p in system]
-        if all(p.is_zero() for p in specialised):
-            return f"x = {x0} (entire fibre)"
         if not _gcd_fold(specialised).is_constant():
             return f"common point over x = {x0}"
     return None

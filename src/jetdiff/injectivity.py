@@ -22,6 +22,10 @@ witness when the map is not injective.
   D = deg P + deg Q - 1: the slice is zero iff the rows of degree > amax
   already realise the full rank.
 
+All three matrices come from the one builder `divisibility.shift_matrix`:
+each column is a polynomial base times a monomial x^h y^i, and the rows
+are the realised monomials, graded-lex.
+
 All three refuse to certify on a surface whose genericity audit did not
 pass, unless explicitly forced, in which case the result is marked as
 carrying unverified hypotheses.
@@ -31,10 +35,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add
 
 from . import linalg
-from .divisibility import jet_matrix, vector_to_field
+from .divisibility import jet_matrix, shift_matrix, vector_to_field
 from .genericity import (
     DEFAULT_SEED,
     GenericityReport,
@@ -58,19 +61,6 @@ from .sampling import random_small_polynomial
 
 class GenericityGateError(RuntimeError):
     """A theorem verifier was invoked on a surface without a passing audit."""
-
-
-def _matrix_from_shifts(columns: list, groups: list[tuple[ExactPoly, list[tuple]]]
-                        ) -> linalg.SparseMatrix:
-    """The plane matrices: columns are the coefficient vectors of base * x^shift,
-    in order over the (base, shifts) groups; rows are their monomials,
-    graded-lex.  The coefficients of each base are read once for all shifts."""
-    column_maps = []
-    for base, shifts in groups:
-        terms = base.coefficients().items()
-        for shift in shifts:
-            column_maps.append({tuple(map(add, exps, shift)): coeff for exps, coeff in terms})
-    return linalg.SparseMatrix.from_columns(columns, column_maps, lambda e: (sum(e), e))
 
 
 def injectivity_matrix(surf: SurfacePair, m: int, a: int,
@@ -147,13 +137,8 @@ def rx_sx_matrix(surf: SurfacePair, m: int) -> linalg.SparseMatrix:
     """Matrix of (A[p,q]) -> sum A[p,q] R_x^p S_x^q R^(m-p) S^(m-q), deg A <= d-1."""
     terms = LambdaTerms(surf)
     shifts = list(monomials_upto(surf.d - 1))
-    columns: list[tuple] = []
-    groups: list[tuple[ExactPoly, list[tuple]]] = []
-    for p in range(m + 1):
-        for q in range(m + 1 - p):
-            columns.extend((p, q) + shift for shift in shifts)
-            groups.append((terms.term(p, 0, q, 0, m), shifts))
-    return _matrix_from_shifts(columns, groups)
+    return shift_matrix(((p, q), terms.term(p, 0, q, 0, m), shifts)
+                        for p in range(m + 1) for q in range(m + 1 - p))
 
 
 def verify_rx_sx_proposition(surf: SurfacePair, m: int,
@@ -185,11 +170,10 @@ def vanishing_lemma_check(p: ExactPoly, q: ExactPoly, amax: int,
     if not transversality.passed:
         raise GenericityGateError("transversality precondition not certified")
     truncation = dp + dq - 1 + degree_margin
-    groups = [(poly, list(monomials_upto(truncation - deg))) for poly, deg in ((p, dp), (q, dq))]
-    ncols = sum(len(shifts) for _, shifts in groups)
-    matrix = _matrix_from_shifts(list(range(ncols)), groups)
+    matrix = shift_matrix([((0,), p, list(monomials_upto(truncation - dp))),
+                           ((1,), q, list(monomials_upto(truncation - dq)))])
     high_rows = [row for e, row in zip(matrix.rows, matrix.row_entries) if sum(e) > amax]
-    return matrix.rank() == linalg.rank(high_rows, ncols)
+    return matrix.rank() == linalg.rank(high_rows, len(matrix.columns))
 
 
 def triangular_reduction_check(surf: SurfacePair, m: int,

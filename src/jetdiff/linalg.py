@@ -29,7 +29,8 @@ route: full column rank mod p or a verified kernel proves it, and only a
 failed proof reaches Bareiss elimination.
 
 `SparseMatrix` is the labelled matrix every exact system of the package
-is built into, column by column, through `SparseMatrix.from_columns`.
+is built into, by the one builder `divisibility.shift_matrix`: polynomial
+bases shifted by monomials, one column per shift, rows graded-lex.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Iterable
 
 SparseRow = dict[int, int | Fraction]
 
@@ -318,25 +319,6 @@ class SparseMatrix:
     columns: tuple
     rows: tuple
     row_entries: tuple[SparseRow, ...]
-
-    @classmethod
-    def from_columns(cls, columns: Sequence,
-                     column_maps: Sequence[Mapping[Hashable, int | Fraction]],
-                     row_key: Callable[[Hashable], object]) -> "SparseMatrix":
-        """The matrix whose column ci holds column_maps[ci][label] in row `label`.
-
-        Rows are the labels with a nonzero coefficient in some column, sorted
-        by row_key.
-        """
-        rows = tuple(sorted({label for entries in column_maps
-                             for label, coeff in entries.items() if coeff}, key=row_key))
-        row_index = {label: ri for ri, label in enumerate(rows)}
-        row_entries: list[SparseRow] = [{} for _ in rows]
-        for ci, entries in enumerate(column_maps):
-            for label, coeff in entries.items():
-                if coeff:
-                    row_entries[row_index[label]][ci] = coeff
-        return cls(columns=tuple(columns), rows=rows, row_entries=tuple(row_entries))
 
     @property
     def shape(self) -> tuple[int, int]:

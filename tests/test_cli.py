@@ -30,6 +30,13 @@ R = x + 2*y + 3
 S = x^2 + 3*x*y - y^2 + x - 5*y + 7
 """
 
+# the dense d = e = 3 pair drawn from random.Random(7), R first, by the
+# benchmark's generator
+DENSE_CUBIC_SURFACE = """\
+R = 6 + 7*y + 2*y^2 + 6*y^3 + 9*x + x*y - 7*x*y^2 + 2*x^2 - 2*x^2*y + x^3
+S = 4 + 7*y + 4*y^2 + 9*y^3 - 5*x + 3*x*y + 5*x*y^2 + 2*x^2 + 6*x^2*y + 9*x^3
+"""
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -159,6 +166,7 @@ class TestAudit:
         ("R = x^2 + y^2 + 1\n", "missing definition of S"),
         # "²" is a digit to str.isdigit() but not to int()
         ("R = x^\u00b2 + y^2 + 1\nS = x^2 + y^2 - 1\n", "unexpected character"),
+        ("R = x^2 + y^2 + 1\nS = 1\n", "S must be non-constant"),
     ])
     def test_malformed_surface_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.txt"
@@ -193,6 +201,19 @@ class TestSolve:
             assert cert["checks"]["y_divisible"]
             assert cert["checks"]["surface_restriction_exact"]
         jsonschema.validate(body, load_schema("solve.schema.json"))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: solve certifies the kernel of A -> J, "
+                              "whose vectors have J = 0")
+    def test_no_certificate_has_a_zero_jet(self, capsys, tmp_path):
+        # a = 5 > d - 2, so A -> J has a kernel, and each of its vectors is
+        # trivially divisible by y^c; none of them is a section
+        path = tmp_path / "dense_cubic.txt"
+        path.write_text(DENSE_CUBIC_SURFACE)
+        code, body = run_cli(capsys, ["solve", "--surface", str(path), "--m", "1",
+                                      "--c", "5", "--a", "5", "--force"])
+        assert code == 0 and body["certificates"]
+        assert [cert for cert in body["certificates"] if cert["J"] == "0"] == []
 
     def test_require_infinity_violation(self, capsys, generic_surface_file):
         code, body = run_cli(capsys, ["solve", "--surface", generic_surface_file,
@@ -322,6 +343,10 @@ class TestCountAndChi:
     def test_bad_parameters(self, capsys):
         code, body = run_cli(capsys, ["count", "--d", "0", "--e", "5"])
         assert code == 3
+
+    def test_count_refuses_m_zero(self, capsys):
+        code, body = run_cli(capsys, ["count", "--d", "5", "--e", "5", "--m", "0"])
+        assert code == 3 and list(body) == ["error"] and "m >= 1" in body["error"]
 
     def test_count_refuses_negative_c(self, capsys):
         # solve refuses c < 0 through JetSpec; count must agree

@@ -113,6 +113,12 @@ class TestDimensionBounds:
         assert bound.printed_cubic < 0
         assert bound.guaranteed == max(0, bound.combinatorial)
 
+    def test_below_twelve_there_is_no_jet_order(self):
+        # m = floor(11/12) = 0: no constraints to bound, so the count is dof(a, 0)
+        bound = dimension_lower_bound(11, 11)
+        assert (bound.m, bound.a, bound.c) == (0, 11, 11)
+        assert bound.combinatorial == dof(11, 0) == 78
+
     def test_dof_minorant(self):
         for d in (96, 240, 752):
             m = d // 12

@@ -23,7 +23,7 @@ from jetdiff.genericity import (
     shear,
 )
 from jetdiff.jetbuilder import XY, SurfacePair
-from jetdiff.polyring import ExactPoly, poly_diff, poly_parse
+from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, resultant
 from jetdiff.sampling import random_surface_pair
 
 X = ExactPoly.variable(XY, "x")
@@ -126,6 +126,21 @@ class TestCurveSmoothness:
     def test_repeated_component(self):
         assert not curve_smooth_check(poly_parse("(x + y)^2", XY))
 
+    def test_x_free_curve_is_decided_by_its_profile(self):
+        # y - 1 has no x-dependence under any shear: smooth, since y - 1 is squarefree
+        assert genericity._curve_smooth_verdict(Y - ONE) == (PASS, None)
+        assert curve_smooth_check(Y - ONE)
+
+    def test_nodes_over_irrational_x_stay_inconclusive(self):
+        # the nodes (+-sqrt(3), 1) have no rational x: res(ps, ps_x) vanishes
+        # under the identity shear, and no shear separates the candidates
+        curve = poly_parse("(y - 1)*(x^2 + y^2 - 4)", XY)
+        assert resultant(curve, poly_diff(curve, "x"), "y").is_zero()
+        verdict, witness = genericity._curve_smooth_verdict(curve)
+        assert verdict == INCONCLUSIVE
+        assert witness.startswith("unseparated singular-point candidates")
+        assert not curve_smooth_check(curve)
+
     def test_random_dense_curves_smooth(self):
         rng = random.Random(99)
         smooth = 0
@@ -200,6 +215,13 @@ class TestDispositions:
         # identical leading forms meet at infinity
         bad = SurfacePair.parse("x^2 + x*y + y^2 - 1", "x^2 + x*y + y^2 - 2")
         assert not infinity_disposition_check(bad)
+
+    def test_infinity_fails_on_a_square_leading_form(self):
+        # the leading form (x + y)^2 of R meets infinity twice at [1:-1]
+        surf = SurfacePair.parse("x^2 + 2*x*y + y^2 + x", "x^3 + y^3 + 1")
+        assert not infinity_disposition_check(surf)
+        assert genericity._infinity_verdict(surf) == (
+            FAIL, "leading form of R not squarefree: x^2 + 2*x*y + y^2")
 
 
 class TestFullAudit:

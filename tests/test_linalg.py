@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetdiff import linalg
+from jetdiff.divisibility import shift_matrix
 from jetdiff.injectivity import injectivity_matrix
-from jetdiff.linalg import SparseMatrix, matvec, nullspace, rank, row_echelon
+from jetdiff.jetbuilder import JET_VARS, XY
+from jetdiff.linalg import matvec, nullspace, rank, row_echelon
+from jetdiff.polyring import ExactPoly
 from jetdiff.sampling import random_generic_surface
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -350,23 +353,31 @@ def test_injectivity_ranks_of_the_verify_suite(monkeypatch):
 
 
 COEFFS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-COLUMN_MAPS = st.lists(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                                       COEFFS, max_size=6), max_size=6)
+
+
+@st.composite
+def shift_groups(draw):
+    """Small (key, base, shifts) groups over XY or JET_VARS, keys distinct."""
+    ring = draw(st.sampled_from([XY, JET_VARS]))
+    exponents = st.tuples(*[st.integers(0, 3)] * len(ring))
+    bases = st.dictionaries(exponents, COEFFS, max_size=5).map(lambda terms: ExactPoly(ring, terms))
+    shifts = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=4, unique=True)
+    drawn = draw(st.lists(st.tuples(bases, shifts), max_size=4))
+    return ring, [((gi,), base, group_shifts) for gi, (base, group_shifts) in enumerate(drawn)]
 
 
 @PROPERTY
-@given(COLUMN_MAPS)
-def test_from_columns_realises_each_column(column_maps):
-    def row_key(label):
-        return (label[1], -label[0])
-
-    columns = [("col", ci) for ci in range(len(column_maps))]
-    matrix = SparseMatrix.from_columns(columns, column_maps, row_key)
-    assert matrix.columns == tuple(columns)
-    assert matrix.shape == (len(matrix.rows), len(column_maps))
-    assert list(matrix.rows) == sorted(set(matrix.rows), key=row_key)
+@given(shift_groups(), st.none() | st.integers(0, 5))
+def test_shift_matrix_realises_each_column(ring_and_groups, y_below):
+    ring, groups = ring_and_groups
+    matrix = shift_matrix(iter(groups), y_below)
+    shifted = [(key + (h, i), base * ExactPoly(ring, {(h, i) + (0,) * (len(ring) - 2): 1}))
+               for key, base, shifts in groups for h, i in shifts]
+    assert matrix.columns == tuple(key for key, _ in shifted)
+    assert matrix.shape == (len(matrix.rows), len(shifted))
+    assert list(matrix.rows) == sorted(set(matrix.rows), key=lambda e: (sum(e), e))
     assert all(row and all(v != 0 for v in row.values()) for row in matrix.row_entries)
-    for ci, entries in enumerate(column_maps):
-        unit = [Fraction(int(cj == ci)) for cj in range(len(column_maps))]
+    for ci, (_, poly) in enumerate(shifted):
+        unit = [Fraction(int(cj == ci)) for cj in range(len(shifted))]
         image = {label: v for label, v in zip(matrix.rows, matrix.matvec(unit)) if v}
-        assert image == {label: c for label, c in entries.items() if c}
+        assert image == {e: c for e, c in poly.terms.items() if y_below is None or e[1] < y_below}
