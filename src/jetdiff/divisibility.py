@@ -7,7 +7,7 @@ it shifts the jet term bases through `shift_matrix`, which builds every
 exact matrix of the package.  The constraints that every Lambda[alpha,beta]
 is divisible by y^c, i.e. that each coefficient with i' < c vanishes, are
 its rows of y-degree below c, on the same columns, built from jet term
-bases cut below y^c.  This divisibility system is solved exactly (a kernel
+bases formed below y^c.  This divisibility system is solved exactly (a kernel
 certified mod p and verified by an exact matvec, else fraction-free
 elimination), and every kernel vector is re-verified through the
 independent route, expand_lambda and monomial_quotient, before a
@@ -94,7 +94,7 @@ def jet_matrix(surf: SurfacePair, m: int, a: int,
     x^h y^i * jet_term_base(j,k,p,q) of the unit field A[j,k,p,q] = x^h y^i;
     rows are the realised exponents (x, y, x', y'), graded-lex.  The bases
     come from `JetContext(surf, y_below=y_below)`, whose factors and products
-    are all cut below that y-degree (exactly).  `JetSpec` refuses m < 1 and
+    are all formed below that y-degree (exactly).  `JetSpec` refuses m < 1 and
     a < 0.
     """
     JetSpec(m=m, c=0, a=a)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
+from operator import mul
 from typing import Callable, Iterator, Mapping
 
 from .polyring import (
@@ -33,6 +34,7 @@ from .polyring import (
     ExactPoly,
     PowerCache,
     VarSet,
+    mul_below,
     poly_diff,
     poly_parse,
     truncate_below,
@@ -237,8 +239,10 @@ class JetContext:
     U_p V_q: each is formed on its first request and kept for the life of
     the context, so one context shared by many fields forms each once.
 
-    With y_below = c, every slot, power and product is cut to its terms of
-    y-degree below c (`truncate_below`); those terms are exact.
+    With y_below = c, the slots are cut once to their terms of y-degree
+    below c (`truncate_below`), and every power and product is formed
+    below y^c (`mul_below`), never making the terms it would drop; the
+    terms it keeps are exact.
     """
 
     def __init__(self, surf: SurfacePair, slots: tuple[ExactPoly, ...] | None = None,
@@ -253,10 +257,13 @@ class JetContext:
                      surf.s.extend_to(JET_VARS),
                      xp * sx.extend_to(JET_VARS) + yp * sy.extend_to(JET_VARS))
         self.target = slots[0].vars
-        self._cut = ((lambda p: p) if y_below is None
-                     else partial(truncate_below, name="y", k=y_below))
+        if y_below is None:
+            self._mul = mul
+        else:
+            self._mul = partial(mul_below, name="y", k=y_below)
+            slots = [truncate_below(slot, "y", y_below) for slot in slots]
         (self.xp_pow, self.yp_pow, self.pow_r_slot, self.pow_rp_slot,
-         self.pow_s_slot, self.pow_sp_slot) = (PowerCache(slot, self._cut) for slot in slots)
+         self.pow_s_slot, self.pow_sp_slot) = (PowerCache(slot, self._mul) for slot in slots)
         self._factors: dict[tuple[str, int, int], ExactPoly] = {}
         self._bases: dict[tuple[int, int, int], ExactPoly] = {}
 
@@ -266,11 +273,11 @@ class JetContext:
         if key not in self._factors:
             prime, plain = ((self.pow_rp_slot, self.pow_r_slot) if curve == "R"
                             else (self.pow_sp_slot, self.pow_s_slot))
-            self._factors[key] = self._cut(prime[k] * plain[m - k])
+            self._factors[key] = self._mul(prime[k], plain[m - k])
         return self._factors[key]
 
     def _form_base(self, p: int, q: int, m: int) -> ExactPoly:
-        return self._cut(self._factor("R", p, m) * self._factor("S", q, m))
+        return self._mul(self._factor("R", p, m), self._factor("S", q, m))
 
     def pq_base(self, p: int, q: int, m: int) -> ExactPoly:
         """U_p V_q = R'^p R^(m-p) S'^q S^(m-q), formed once per (p, q, m)."""
@@ -286,22 +293,22 @@ class JetContext:
         images of x' and y' are not monomials.
         """
         j, k, p, q = t
-        return self.xp_pow[j] * self.yp_pow[k] * self.pq_base(p, q, m)
+        return self._mul(self._mul(self.xp_pow[j], self.yp_pow[k]), self.pq_base(p, q, m))
 
     def realize(self, field: CoefficientField,
                 lift: Callable[[ExactPoly], ExactPoly] | None = None) -> ExactPoly:
         """Sum of lift(A[t]) * jet_term_base(t) over the nonzero entries of field.
 
         lift maps an (x, y) coefficient into the target ring; by default it
-        renames the variables into the target.  A context with y_below cuts
-        each product too.
+        renames the variables into the target.  A context with y_below forms
+        each product below y^c too.
         """
         result = ExactPoly.zero(self.target)
         for t, a_poly in field.items():
             if a_poly.is_zero():
                 continue
             image = a_poly.extend_to(self.target) if lift is None else lift(a_poly)
-            result = result + self._cut(image * self.jet_term_base(t, field.m))
+            result = result + self._mul(image, self.jet_term_base(t, field.m))
         return result
 
 
@@ -373,7 +380,7 @@ def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
                             continue
                         weight = comb(p1 + p2, p1) * comb(q1 + q2, q1)
                         term = terms.term(p1, p2, q1, q2, m)
-                        acc = acc + (a_poly * term).scale(weight)
+                        acc = acc + a_poly.scale(weight) * term
         entries[(alpha, beta)] = acc
     return LambdaExpansion(m, entries)
 

@@ -17,11 +17,17 @@ every integer and is never conflated with 0 or -1.
 Arithmetic runs on Python ints.  A sum brings both operands over the lcm
 of their denominators; a product multiplies the numerators and the
 denominators.  Both then divide out the content, which costs nothing when
-the denominator is 1, as it is for integer surfaces.  Multiplication packs
+the denominator is 1, as it is for integer surfaces.  One kernel forms
+every product.  A one-term operand only shifts the exponents of the other
+operand, one-to-one, so nothing is packed or merged.  Otherwise it packs
 every exponent tuple into one int, giving each variable a bit field of
 width ``(maxexp_a + maxexp_b).bit_length() + 1`` computed per call from
 the two operands' largest exponents in that variable, so no field can
-overflow.  The univariate gcd first runs Euclid modulo the prime
+overflow.  ``mul_below`` runs the same kernel for a product truncated
+below degree k in one variable: the larger operand is sorted by its
+exponent there, and each term of the smaller one is paired only with the
+prefix that keeps the degree sum below k, so no dropped pair is formed.
+The univariate gcd first runs Euclid modulo the prime
 P = ``_GCD_PRIME`` when P divides neither leading coefficient, and returns
 1 when the gcd there has degree 0: a common factor over Q would keep its
 degree mod P (the proof is in ``gcd_univariate``).  Every other case runs
@@ -51,6 +57,7 @@ order with the sign folded into the coefficient.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul
@@ -308,12 +315,35 @@ class ExactPoly:
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         self._check_same_vars(other)
-        if not self.num or not other.num:
-            return ExactPoly.zero(self.vars)
+        return self._product(other)
+
+    def _product(self, other: "ExactPoly", below: tuple[int, int] | None = None) -> "ExactPoly":
+        """self * other, or with below = (i, k) its terms of degree < k in variable i.
+
+        The one multiplication kernel.  A one-term operand shifts the other
+        one; otherwise both are packed and every pair is formed, except that
+        with a bound the larger operand is sorted by its exponent in
+        variable i and each term of the smaller one meets only the prefix
+        whose exponents keep the sum below k.
+        """
         if len(self.num) > len(other.num):
             a, b = other.num, self.num
         else:
             a, b = self.num, other.num
+        if not a:
+            return ExactPoly.zero(self.vars)
+        den = self.den * other.den
+        if len(a) == 1:
+            # a shift is one-to-one, so no two terms merge
+            [(exps_a, num_a)] = a.items()
+            if below is None:
+                num = {tuple(map(add, exps, exps_a)): n * num_a for exps, n in b.items()}
+            else:
+                i, k = below
+                top = k - exps_a[i]
+                num = {tuple(map(add, exps, exps_a)): n * num_a
+                       for exps, n in b.items() if exps[i] < top}
+            return ExactPoly._from_ints(self.vars, num, den)
         # one bit field per variable, wide enough for the largest exponent
         # the product can reach in it plus a spare bit, so no field overflows
         fields = []
@@ -324,17 +354,24 @@ class ExactPoly:
             shift += width
         # the packed monomial of exps is sum(exps[v] << shift_v)
         weights = [1 << s for s, _ in fields]
-        packed_b = [(sum(map(mul, exps, weights)), num) for exps, num in b.items()]
+        b_terms = b.items()
+        if below is not None:
+            i, k = below
+            b_terms = sorted(b_terms, key=lambda term: term[0][i])
+            b_degrees = [exps[i] for exps, _ in b_terms]
+        packed_b = [(sum(map(mul, exps, weights)), num) for exps, num in b_terms]
         acc: dict[int, int] = {}
         get = acc.get
         for exps, num_a in a.items():
             key_a = sum(map(mul, exps, weights))
-            for key_b, num_b in packed_b:
+            pairs = (packed_b if below is None
+                     else packed_b[:bisect_left(b_degrees, k - exps[i])])
+            for key_b, num_b in pairs:
                 key = key_a + key_b
                 acc[key] = get(key, 0) + num_a * num_b
         return ExactPoly._from_ints(self.vars, {
             tuple([(key >> s) & mask for s, mask in fields]): num
-            for key, num in acc.items() if num}, self.den * other.den)
+            for key, num in acc.items() if num}, den)
 
     def scale(self, value: Fraction | int) -> "ExactPoly":
         if not isinstance(value, (int, Fraction)):
@@ -357,14 +394,6 @@ class ExactPoly:
             if k:
                 base = base * base
         return result
-
-    def shift(self, exps: Exponents) -> "ExactPoly":
-        """Multiply by the monomial with the given exponent tuple."""
-        exps = tuple(exps)
-        if len(exps) != len(self.vars) or any(e < 0 or not isinstance(e, int) for e in exps):
-            raise ValueError(f"bad shift exponents {exps}")
-        return ExactPoly._from_ints(self.vars, {tuple(map(add, e, exps)): c
-                                                for e, c in self.num.items()}, self.den)
 
     def map_exponents(self, vars: VarSet,
                       image: Callable[[Exponents], Exponents]) -> "ExactPoly":
@@ -617,18 +646,20 @@ def poly_parse(text: str, vars: VarSet) -> ExactPoly:
 class PowerCache:
     """Lazily grown list of powers of a fixed polynomial: cache[k] is base**k.
 
-    With a cut, cache[k] is cut(base**k), each power formed from the cut
-    previous one; cut must satisfy cut(cut(f) * cut(g)) == cut(f * g), as
-    `truncate_below` does.
+    Each power is product(previous power, base), formed on first request.
+    With product = partial(mul_below, name=v, k=c) and a base already cut
+    below v^c, cache[k] is truncate_below(base**k, v, c) for every k >= 1;
+    cache[0] is 1.
     """
 
-    def __init__(self, base: ExactPoly, cut: Callable[[ExactPoly], ExactPoly] | None = None):
-        self._cut = cut or (lambda p: p)
-        self._powers = [self._cut(ExactPoly.const(base.vars, 1)), self._cut(base)]
+    def __init__(self, base: ExactPoly,
+                 product: Callable[[ExactPoly, ExactPoly], ExactPoly] = mul):
+        self._product = product
+        self._powers = [ExactPoly.const(base.vars, 1), base]
 
     def __getitem__(self, k: int) -> ExactPoly:
         while len(self._powers) <= k:
-            self._powers.append(self._cut(self._powers[-1] * self._powers[1]))
+            self._powers.append(self._product(self._powers[-1], self._powers[1]))
         return self._powers[k]
 
 
@@ -718,10 +749,18 @@ def truncate_below(p: ExactPoly, name: str, k: int) -> ExactPoly:
 
     Exponents are non-negative, so a term of degree >= k in a factor only
     yields terms of degree >= k: truncate_below(f * g) equals
-    truncate_below(truncate_below(f) * truncate_below(g)).
+    truncate_below(truncate_below(f) * truncate_below(g)), and `mul_below`
+    forms it without the pairs it would drop.
     """
     i = p.vars.index(name)
     return ExactPoly._from_ints(p.vars, {e: c for e, c in p.num.items() if e[i] < k}, p.den)
+
+
+def mul_below(f: ExactPoly, g: ExactPoly, name: str, k: int) -> ExactPoly:
+    """truncate_below(f * g, name, k), never forming a pair of terms whose
+    degrees in the variable sum to k or more."""
+    f._check_same_vars(g)
+    return f._product(g, (f.vars.index(name), k))
 
 
 # -- dense univariate views ----------------------------------------------------

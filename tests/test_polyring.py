@@ -1,6 +1,8 @@
 import time
 from fractions import Fraction
+from functools import partial
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +20,7 @@ from jetdiff.polyring import (
     VarSet,
     gcd_univariate,
     monomial_quotient,
+    mul_below,
     poly_diff,
     poly_parse,
     poly_substitute,
@@ -110,7 +113,9 @@ def exact_divide(p, q):
             raise ValueError("inexact polynomial division")
         coeff = r_coeff / q_coeff
         quotient[exps] = quotient.get(exps, Fraction(0)) + coeff
-        rem = rem - q.shift(exps).scale(coeff)
+        # q * x^exps * coeff by its own shift, independent of ExactPoly.__mul__
+        rem = rem - ExactPoly(q.vars, {tuple(map(add, e, exps)): c * coeff
+                                       for e, c in q.terms.items()})
     return ExactPoly(p.vars, quotient)
 
 
@@ -189,6 +194,12 @@ def term_maps(vars, max_terms=8, exponents=EXPONENTS):
 
 def polys(vars, max_terms=8):
     return term_maps(vars, max_terms).map(lambda terms: ExactPoly(vars, terms))
+
+
+def one_terms(vars):
+    """One-term polynomials whose coefficient is a rational other than 0 and +-1."""
+    return st.builds(ExactPoly.monomial, st.just(vars), st.tuples(*[EXPONENTS] * len(vars)),
+                     rationals().filter(lambda c: abs(c) != 1 and c))
 
 
 # nonzero bivariate polynomials of degree at most 3 in x and 7 in y; at most
@@ -368,16 +379,44 @@ class TestRingOps:
         assert product == reference_mul(p, p) - reference_mul(q, q)
 
     @PROPERTY
-    @given(polys(JET_VARS), st.tuples(*[EXPONENTS] * 4))
-    def test_shift_matches_monomial_product(self, p, exps):
-        shifted = p.shift(exps)
-        assert shifted.terms == reference_mul(p, ExactPoly.monomial(JET_VARS, exps)).terms
-        assert all(type(c) is Fraction for c in shifted.terms.values())
+    @given(st.sampled_from([XY, JET_VARS]).flatmap(
+        lambda vars: st.tuples(polys(vars), one_terms(vars))))
+    @example((poly_parse("x^2 - 3*y", XY), ExactPoly.const(XY, Fraction(-5, 7))))
+    @example((poly_parse("x^2 - 3*y", XY), ExactPoly.zero(XY)))
+    @example((ExactPoly.zero(JET_VARS), ExactPoly.monomial(JET_VARS, (1, 2, 0, 3), 4)))
+    # the product's content 6 cancels its denominator 6
+    @example((poly_parse("1/6*x + 1/3*y", XY), ExactPoly.monomial(XY, (2, 1), 6)))
+    def test_one_term_operand_matches_reference(self, pair):
+        p, m = pair
+        expected = reference_mul(p, m)
+        for product in (p * m, m * p):
+            assert product.terms == expected.terms
+            assert_canonical(product)
+
+    @PROPERTY
+    @given(st.sampled_from([XY, JET_VARS]).flatmap(
+        lambda vars: st.tuples(polys(vars), polys(vars))), st.integers(0, 6))
+    @example((poly_parse("x*y^2 + 1/2*y - 3", XY), ExactPoly.monomial(XY, (1, 2), Fraction(3, 4))),
+             3)
+    @example((poly_parse("x + y", XY), poly_parse("x - y^2", XY)), 0)
+    @example((poly_parse("x*y + 1/3*y^2", XY), poly_parse("x - 2*y", XY)), 6)
+    def test_mul_below_matches_truncated_product(self, pair, k):
+        p, q = pair
+        product = p * q
+        expected = truncate_below(product, "y", k)
+        for low in (mul_below(p, q, "y", k), mul_below(q, p, "y", k)):
+            assert low == expected
+            assert_canonical(low)
+        if k == 0:
+            assert expected.is_zero()
+        if all(e[1] < k for e in product.num):
+            assert expected == product
 
     @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1), (1, 1.0)])
     def test_shift_rejects_bad_exponents(self, exps):
+        # a shift is a product with a monomial, which validates its exponents
         with pytest.raises(ValueError):
-            X.shift(exps)
+            ExactPoly.monomial(XY, exps)
 
     def test_varset_mismatch(self):
         other = VarSet(("x", "z"))
@@ -403,7 +442,8 @@ class TestRepresentation:
     @given(SMALL, SMALL, rationals(), st.integers(0, 3))
     def test_every_operation_returns_canonical_form(self, a, b, value, k):
         p, q = ExactPoly(XY, a), ExactPoly(XY, b)
-        results = [p, p + q, p - q, -p, p.scale(value), p * q, p ** k, p.shift((k, 1)),
+        results = [p, p + q, p - q, -p, p.scale(value), p * q, p ** k,
+                   p * ExactPoly.monomial(XY, (k, 1), value or 1),
                    p.extend_to(JET_VARS), poly_diff(p, "x"), poly_diff(p, "y"),
                    monomial_quotient(p, "y", k)[0], poly_substitute(p, {"x": q, "y": p}),
                    *univariate_coeffs(p, "y")]
@@ -482,8 +522,10 @@ class TestRepresentation:
         # the cut of a product is the cut of the product of the cuts
         assert truncate_below(p * q, "y", k) == truncate_below(
             low * truncate_below(q, "y", k), "y", k)
-        cut = PowerCache(p, lambda f: truncate_below(f, "y", k))
-        assert [cut[n] for n in range(4)] == [truncate_below(p ** n, "y", k) for n in range(4)]
+        cut = PowerCache(low, partial(mul_below, name="y", k=k))
+        assert cut[0] == ONE
+        assert [cut[n] for n in range(1, 5)] == [truncate_below(p ** n, "y", k)
+                                                 for n in range(1, 5)]
 
     @PROPERTY
     @given(term_maps(XY))
