@@ -28,7 +28,6 @@ from .jetbuilder import (
     build_jet,
     expand_lambda,
     index_tuples,
-    lambda_degree_check,
     monomials_upto,
     unit_field,
 )
@@ -61,16 +60,11 @@ from .injectivity import (
     InjectivityResult,
     analyze_injectivity,
     injectivity_matrix,
-    triangular_reduction_check,
-    vanishing_lemma_check,
-    verify_injectivity_theorem,
-    verify_rx_sx_proposition,
 )
 from .surfacecharts import (
     InfinityExponentReport,
     TransferResult,
     full_chart_transfer,
-    homogenize_surface_and_check,
     restrict_to_surface,
     verify_derivative_transfer,
     verify_infinity_exponents,

@@ -385,12 +385,6 @@ def expand_lambda(field: CoefficientField, surf: SurfacePair, spec: JetSpec,
     return LambdaExpansion(m, entries)
 
 
-def lambda_degree_check(expansion: LambdaExpansion, spec: JetSpec, surf: SurfacePair) -> bool:
-    """True iff every expansion coefficient has degree <= a + d*m + e*m."""
-    bound = spec.a + surf.d * spec.m + surf.e * spec.m
-    return all(p.total_degree() <= bound for p in expansion.entries.values())
-
-
 def unit_field(m: int, t: IndexTuple, h: int = 0, i: int = 0) -> CoefficientField:
     """Coefficient field with the single entry A[t] = x^h y^i."""
     return CoefficientField(m, {t: ExactPoly.monomial(XY, (h, i))})

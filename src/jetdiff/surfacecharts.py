@@ -38,11 +38,10 @@ from .jetbuilder import (
     monomials_upto,
     validate_field,
 )
-from .polyring import ExactPoly, VarSet, monomial_quotient, poly_diff, poly_substitute
+from .polyring import ExactPoly, VarSet, monomial_quotient, poly_diff
 
 SURFACE_VARS = VarSet(("x", "y", "z", "t", "x'", "y'", "z'", "t'"))
 CHART_VARS = VarSet(("x1", "y1", "x1'", "y1'"))
-HOMOGENEOUS_VARS = VarSet(("U", "X", "Y", "Z", "T"))
 
 INV_X = "inv_x"
 INV_Y = "inv_y"
@@ -254,29 +253,3 @@ def full_chart_transfer(field: CoefficientField, surf: SurfacePair, spec: JetSpe
         residual_min=residual_min,
         identity_ok=direct == transferred,
     )
-
-
-def homogenize_surface_and_check(surf: SurfacePair) -> bool:
-    """Certify that the surface misses the line U = X = Y = 0 at infinity.
-
-    The homogenised equations are Z^d - U^d R(X/U, Y/U) and
-    T^e - U^e S(X/U, Y/U); substituting U = X = Y = 0 must leave exactly
-    Z^d and T^e, forcing Z = T = 0, which no projective point allows.
-    """
-    z_var = ExactPoly.variable(HOMOGENEOUS_VARS, "Z")
-    t_var = ExactPoly.variable(HOMOGENEOUS_VARS, "T")
-    zero = ExactPoly.zero(HOMOGENEOUS_VARS)
-    bindings = {"U": zero, "X": zero, "Y": zero,
-                "Z": z_var, "T": t_var}
-    ok = True
-    for poly, degree, pure in ((surf.r, surf.d, z_var ** surf.d),
-                               (surf.s, surf.e, t_var ** surf.e)):
-        homog = pure - _homogenize_xy(poly, degree)
-        restricted = poly_substitute(homog, bindings)
-        ok = ok and (restricted == pure)
-    return ok
-
-
-def _homogenize_xy(p: ExactPoly, degree: int) -> ExactPoly:
-    """U^degree * p(X/U, Y/U) as a polynomial in (U, X, Y, Z, T)."""
-    return p.map_exponents(HOMOGENEOUS_VARS, lambda e: (degree - e[0] - e[1], e[0], e[1], 0, 0))

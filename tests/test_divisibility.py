@@ -13,6 +13,7 @@ from jetdiff.divisibility import (
     SectionContexts,
     assemble_divisibility_system,
     build_section,
+    jet_matrix,
     kernel_basis,
     kernel_to_json,
     solution_dimension,
@@ -87,7 +88,7 @@ class TestAssembly:
                 assert actual[ci] == expected
 
     def test_rows_are_the_low_y_rows_of_the_jet_matrix(self, monkeypatch):
-        # D is M = injectivity_matrix cut below y^c: its rows are the rows of
+        # D is M = jet_matrix cut below y^c: its rows are the rows of
         # M with i' < c, in M's order and on the same columns, each equal to
         # M's row under the same label; the assembly never expands
         def no_expansion(*args, **kwargs):
@@ -96,7 +97,7 @@ class TestAssembly:
         integral = surface(seed=31, d=3, e=4)
         for surf, m, a in ((integral, 1, 1), (integral, 2, 1), (integral, 1, 3),
                            (FRACTIONAL_SURFACE, 2, 2)):
-            matrix = injectivity_matrix(surf, m, a, enforce_cap=False)
+            matrix = jet_matrix(surf, m, a)
             rows = dict(zip(matrix.rows, matrix.row_entries))
             top = max(label[1] for label in matrix.rows)
             for c in (0, top // 2, top + 1):

@@ -2,18 +2,9 @@ import random
 
 import pytest
 
-from jetdiff.divisibility import unknown_labels
+from jetdiff.divisibility import jet_matrix, shift_matrix, unknown_labels
 from jetdiff.genericity import full_genericity_audit, pair_transversality_check
-from jetdiff.injectivity import (
-    GenericityGateError,
-    analyze_injectivity,
-    injectivity_matrix,
-    rx_sx_matrix,
-    triangular_reduction_check,
-    vanishing_lemma_check,
-    verify_injectivity_theorem,
-    verify_rx_sx_proposition,
-)
+from jetdiff.injectivity import GenericityGateError, analyze_injectivity, injectivity_matrix
 from jetdiff.jetbuilder import (
     JET_VARS,
     XY,
@@ -26,7 +17,7 @@ from jetdiff.jetbuilder import (
     index_tuples,
     monomials_upto,
 )
-from jetdiff.linalg import row_echelon
+from jetdiff.linalg import rank, row_echelon
 from jetdiff.polyring import ExactPoly, poly_parse
 from jetdiff.sampling import (
     random_coefficient_field,
@@ -37,6 +28,38 @@ from jetdiff.sampling import (
 X = ExactPoly.variable(XY, "x")
 Y = ExactPoly.variable(XY, "y")
 ONE = ExactPoly.const(XY, 1)
+
+
+def rx_sx_matrix(surf, m):
+    """Matrix of (A[p,q]) -> sum A[p,q] R_x^p S_x^q R^(m-p) S^(m-q), deg A <= d-1."""
+    terms = LambdaTerms(surf)
+    shifts = list(monomials_upto(surf.d - 1))
+    return shift_matrix(((p, q), terms.term(p, 0, q, 0, m), shifts)
+                        for p in range(m + 1) for q in range(m + 1 - p))
+
+
+def rx_sx_injective(surf, m):
+    """The R_x/S_x proposition: the reduced map has full column rank."""
+    matrix = rx_sx_matrix(surf, m)
+    return matrix.rank() == len(matrix.columns)
+
+
+def vanishing_slice_is_zero(p, q, amax, degree_margin=0):
+    """The vanishing lemma: the degree-<= amax slice of the ideal (p, q) is zero.
+
+    Vanishing on the deg(p)*deg(q) intersection points is ideal membership
+    only when the points are simple, so the pair must be certified
+    transversal.  The slice is read off the Macaulay matrix at truncation
+    D = deg p + deg q - 1 (+ margin): it is zero iff the rows of degree
+    > amax already carry the full rank.
+    """
+    assert pair_transversality_check(p, q).passed, "pair not certified transversal"
+    dp, dq = p.total_degree(), q.total_degree()
+    truncation = dp + dq - 1 + degree_margin
+    matrix = shift_matrix([((0,), p, list(monomials_upto(truncation - dp))),
+                           ((1,), q, list(monomials_upto(truncation - dq)))])
+    high_rows = [row for e, row in zip(matrix.rows, matrix.row_entries) if sum(e) > amax]
+    return matrix.rank() == rank(high_rows, len(matrix.columns))
 
 
 class TestMatrixAssembly:
@@ -85,14 +108,13 @@ class TestMatrixAssembly:
         surf = random_surface_pair(random.Random(6), 3, 3)
         for m, a in ((0, 1), (-1, 1), (1, -1)):
             with pytest.raises(ValueError):
-                injectivity_matrix(surf, m, a, enforce_cap=False)
+                injectivity_matrix(surf, m, a)
 
     def test_degree_cap_enforced(self):
         surf = random_surface_pair(random.Random(4), 3, 3)
         with pytest.raises(ValueError):
             injectivity_matrix(surf, 1, 2)
-        matrix = injectivity_matrix(surf, 1, 2, enforce_cap=False)
-        assert len(matrix.columns) == 4 * 6
+        assert len(jet_matrix(surf, 1, 2).columns) == 4 * 6
 
 
 class TestInjectivityTheorem:
@@ -102,7 +124,7 @@ class TestInjectivityTheorem:
             surf, audit = random_generic_surface(rng, d, d, audit_seed=100 + d)
             for m in (1, 2):
                 a = d - 2
-                assert verify_injectivity_theorem(surf, m, a, audit=audit)
+                assert analyze_injectivity(surf, m, a, audit=audit).injective
 
     def test_gate_refuses_failed_audit(self):
         rng = random.Random(73)
@@ -111,7 +133,7 @@ class TestInjectivityTheorem:
         audit = full_genericity_audit(degenerate)
         assert not audit.passed
         with pytest.raises(GenericityGateError):
-            verify_injectivity_theorem(degenerate, 1, 1, audit=audit)
+            analyze_injectivity(degenerate, 1, 1, audit=audit)
 
     def test_force_records_unverified_result(self):
         rng = random.Random(79)
@@ -148,7 +170,7 @@ class TestInjectivityTheorem:
         rng = random.Random(131)
         surf, audit = random_generic_surface(rng, 2, 3, audit_seed=654)
         for m in (1, 2):
-            assert verify_injectivity_theorem(surf, m, 0, audit=audit)
+            assert analyze_injectivity(surf, m, 0, audit=audit).injective
 
     def test_small_quadric_config(self):
         rng = random.Random(83)
@@ -157,26 +179,33 @@ class TestInjectivityTheorem:
         assert result.injective and result.columns == 4
 
     def test_beyond_cap_outcome_recorded_not_asserted(self):
-        # a = d-1 exceeds the theorem cap; the rank is computed and recorded
+        # a > d-2 is beyond the theorem, so injectivity is not claimed there;
+        # the rank from the proved kernel must still be the Bareiss rank.  At
+        # a = d-1 the map stays injective; at a = d the kernel is the Euler
+        # syzygies R e_t - R_x e_(j+1,k,p-1,q) - R_y e_(j,k+1,p-1,q) and their
+        # S analogues, one per tuple with p >= 1 and one per tuple with q >= 1
         rng = random.Random(89)
         surf, _ = random_generic_surface(rng, 3, 3, audit_seed=17)
-        matrix = injectivity_matrix(surf, 1, 2, enforce_cap=False)
-        rank = matrix.rank()
-        assert 0 <= rank <= len(matrix.columns)
+        for m, a, expected, columns in ((1, 2, 24, 24), (2, 2, 60, 60),
+                                        (1, 3, 38, 40), (2, 3, 92, 100)):
+            matrix = jet_matrix(surf, m, a)
+            assert len(matrix.columns) == columns
+            assert (matrix.rank() == row_echelon(list(matrix.row_entries), columns).rank
+                    == expected)
 
 
 class TestRxSxProposition:
     def test_generic_cubics(self):
         rng = random.Random(97)
-        surf, audit = random_generic_surface(rng, 3, 3, audit_seed=11)
-        assert verify_rx_sx_proposition(surf, 1, audit=audit)
+        surf, _ = random_generic_surface(rng, 3, 3, audit_seed=11)
+        assert rx_sx_injective(surf, 1)
 
     def test_m_zero_identity_map(self):
         rng = random.Random(101)
-        surf, audit = random_generic_surface(rng, 2, 2, audit_seed=13)
+        surf, _ = random_generic_surface(rng, 2, 2, audit_seed=13)
         matrix = rx_sx_matrix(surf, 0)
         assert len(matrix.columns) == (surf.d) * (surf.d + 1) // 2
-        assert verify_rx_sx_proposition(surf, 0, audit=audit)
+        assert rx_sx_injective(surf, 0)
 
     def test_column_count(self):
         rng = random.Random(103)
@@ -187,19 +216,17 @@ class TestRxSxProposition:
 
 class TestVanishingLemma:
     def test_single_point_kills_constants(self):
-        assert vanishing_lemma_check(Y - X, Y + X, 0)
+        assert vanishing_slice_is_zero(Y - X, Y + X, 0)
 
     def test_low_degree_generator_defeats_slice(self):
         # y itself lies in the ideal (x^2+y^2-1, y) with degree 1 <= amax
         circle = poly_parse("x^2 + y^2 - 1", XY)
-        assert not vanishing_lemma_check(circle, Y, 1)
+        assert not vanishing_slice_is_zero(circle, Y, 1)
 
     def test_generic_cubics(self):
         rng = random.Random(107)
         surf = random_surface_pair(rng, 3, 3)
-        report = pair_transversality_check(surf.r, surf.s)
-        assert report.passed
-        assert vanishing_lemma_check(surf.r, surf.s, 2, transversality=report)
+        assert vanishing_slice_is_zero(surf.r, surf.s, 2)
 
     def test_truncation_stability(self):
         # raising the Macaulay degree by one never changes the verdict
@@ -208,33 +235,26 @@ class TestVanishingLemma:
         surf = random_surface_pair(rng, 3, 3)
         cases.append((surf.r, surf.s, 2))
         for p, q, amax in cases:
-            base = vanishing_lemma_check(p, q, amax)
-            raised = vanishing_lemma_check(p, q, amax, degree_margin=1)
+            base = vanishing_slice_is_zero(p, q, amax)
+            raised = vanishing_slice_is_zero(p, q, amax, degree_margin=1)
             assert base == raised
 
     def test_amax_cap(self):
-        with pytest.raises(ValueError):
-            vanishing_lemma_check(Y - X, Y + X, 1)
+        # the cap amax <= deg(p) - 1 is sharp: at amax = deg p the slice
+        # holds p itself
+        assert not vanishing_slice_is_zero(Y - X, Y + X, 1)
+        surf = random_surface_pair(random.Random(107), 3, 3)
+        assert not vanishing_slice_is_zero(surf.r, surf.s, 3)
 
     def test_requires_certified_transversality(self):
-        with pytest.raises(GenericityGateError):
-            vanishing_lemma_check(Y - X * X, Y, 0)
+        # y = x^2 is tangent to y = 0: the double point is not simple, so
+        # vanishing there is not ideal membership
+        assert not pair_transversality_check(Y - X * X, Y).passed
+        with pytest.raises(AssertionError, match="not certified transversal"):
+            vanishing_slice_is_zero(Y - X * X, Y, 0)
 
 
 class TestTriangularReduction:
-    def test_small_orders(self):
-        rng = random.Random(113)
-        surf = random_surface_pair(rng, 2, 2)
-        assert triangular_reduction_check(surf, 1)
-        assert triangular_reduction_check(surf, 2)
-        assert triangular_reduction_check(surf, 3, a=0)
-
-    def test_desk_scale_cap(self):
-        rng = random.Random(127)
-        surf = random_surface_pair(rng, 2, 2)
-        with pytest.raises(ValueError):
-            triangular_reduction_check(surf, 4)
-
     def test_runs_without_the_jet_context(self, monkeypatch):
         # the expansion route is the independent check of build_jet, so it
         # must not read JetContext's caches, also when its own term cache is
@@ -249,10 +269,7 @@ class TestTriangularReduction:
             raise AssertionError("JetContext built on the expansion route")
 
         monkeypatch.setattr("jetdiff.jetbuilder.JetContext", no_context)
-        # injectivity builds its contexts only through divisibility.jet_matrix
-        monkeypatch.setattr("jetdiff.divisibility.JetContext", no_context)
         assert expand_lambda(fields[0], surf, spec).reconstruct() == expected[0]
         terms = LambdaTerms(surf)
         assert [expand_lambda(field, surf, spec, terms).reconstruct()
                 for field in fields] == expected
-        assert triangular_reduction_check(surf, 2)

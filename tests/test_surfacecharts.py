@@ -25,7 +25,6 @@ from jetdiff.surfacecharts import (
     SURFACE_VARS,
     _chart_polynomial,
     full_chart_transfer,
-    homogenize_surface_and_check,
     restrict_to_surface,
     verify_derivative_transfer,
     verify_infinity_exponents,
@@ -269,15 +268,3 @@ class TestFullChartTransfer:
                   "x1'": ExactPoly.variable(CHART_VARS, "y1'"),
                   "y1'": ExactPoly.variable(CHART_VARS, "x1'")}
         assert poly_substitute(result_x.transferred, rename) == result_y.transferred
-
-
-class TestHomogenization:
-    def test_structural(self):
-        rng = random.Random(19)
-        for _ in range(4):
-            surf = random_surface_pair(rng, rng.randint(1, 4), 4)
-            assert homogenize_surface_and_check(surf)
-
-    def test_constant_term_absorbed(self):
-        surf = SurfacePair.parse("x^2 + y^2 + 7", "x^2 + x*y + y^2 - 1")
-        assert homogenize_surface_and_check(surf)
