@@ -22,8 +22,11 @@ from jetdiff.polyring import ExactPoly, poly_parse
 from jetdiff.sampling import (
     random_coefficient_field,
     random_generic_surface,
+    random_small_polynomial,
     random_surface_pair,
 )
+
+from conftest import triangular_slice_holds
 
 X = ExactPoly.variable(XY, "x")
 Y = ExactPoly.variable(XY, "y")
@@ -255,6 +258,16 @@ class TestVanishingLemma:
 
 
 class TestTriangularReduction:
+    def test_small_orders(self):
+        # entries of degree <= a with coefficients in -5..5, zeros allowed
+        rng = random.Random(113)
+        surf = random_surface_pair(rng, 2, 2)
+        for a in (0, 1):
+            for m in (1, 2, 3):
+                for k_prime in range(1, m + 1):
+                    assert triangular_slice_holds(
+                        surf, m, k_prime, a, lambda: random_small_polynomial(rng, a))
+
     def test_runs_without_the_jet_context(self, monkeypatch):
         # the expansion route is the independent check of build_jet, so it
         # must not read JetContext's caches, also when its own term cache is

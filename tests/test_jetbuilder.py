@@ -19,12 +19,10 @@ from jetdiff.jetbuilder import (
     unit_field,
 )
 from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, truncate_below
-from jetdiff.sampling import (
-    random_coefficient_field,
-    random_small_polynomial,
-    random_surface_pair,
-)
+from jetdiff.sampling import random_coefficient_field, random_surface_pair
 from jetdiff.surfacecharts import CHARTS, chart_context, surface_context
+
+from conftest import triangular_slice_holds
 
 
 def cubic_surface(seed=3):
@@ -198,33 +196,12 @@ class TestExpandLambda:
     def test_triangular_slice_witness(self):
         # with A[.,k,.,.] = 0 for k <= k'-1 the beta = k' slice collapses to
         # R^k' S^k' times the R_x/S_x-only reduced sum
-        def check(surf, m, k_prime, a, draw):
-            field = CoefficientField(m, {t: draw() for t in index_tuples(m) if t[1] >= k_prime})
-            expansion = expand_lambda(field, surf, JetSpec(m=m, c=0, a=a))
-            lhs = expansion.entries[(m - k_prime, k_prime)]
-            rx, _, sx, _ = surf.partials()
-            reduced = ExactPoly.zero(XY)
-            for j in range(m - k_prime + 1):
-                for p1 in range(m - k_prime - j + 1):
-                    q1 = m - k_prime - j - p1
-                    a_poly = field.entries[(j, k_prime, p1, q1)]
-                    term = (a_poly * rx ** p1 * sx ** q1
-                            * surf.r ** (m - k_prime - p1) * surf.s ** (m - k_prime - q1))
-                    reduced = reduced + term
-            assert lhs == surf.r ** k_prime * surf.s ** k_prime * reduced
-
         rng = random.Random(31)
         for m in (2, 3):
             for k_prime in range(1, m + 1):
                 surf = random_surface_pair(rng, 2, 2)
-                check(surf, m, k_prime, 0, lambda: ExactPoly.const(XY, rng.randint(-3, 3)))
-        # entries of degree <= a with coefficients in -5..5, zeros allowed
-        rng = random.Random(113)
-        surf = random_surface_pair(rng, 2, 2)
-        for a in (0, 1):
-            for m in (1, 2, 3):
-                for k_prime in range(1, m + 1):
-                    check(surf, m, k_prime, a, lambda: random_small_polynomial(rng, a))
+                assert triangular_slice_holds(
+                    surf, m, k_prime, 0, lambda: ExactPoly.const(XY, rng.randint(-3, 3)))
 
 
 class TestDegreeCheck:
