@@ -72,13 +72,10 @@ from .surfacecharts import (
 from .counting import (
     ChiCrossCheck,
     CountReport,
-    DimensionBound,
     chi_cross_check_2_3,
-    choose_m,
     constraint_bound,
     count_report,
     cubic_value,
-    dimension_lower_bound,
     dof,
     e_upper_bound,
     euler_characteristic,

@@ -47,13 +47,6 @@ def minimal_admissible_d() -> int:
     raise RuntimeError("no admissible d found below 10**6")
 
 
-def choose_m(d: int) -> int:
-    """The near-optimal jet order floor(d/12)."""
-    if d < 12:
-        raise ValueError("choose_m requires d >= 12")
-    return d // 12
-
-
 def e_upper_bound(d: int) -> int:
     """floor(d^2/648), the largest second degree the counting argument covers."""
     if d < 1:
@@ -70,35 +63,6 @@ def constraint_upper_bound(d: int, e: int) -> Fraction:
     """(d/12+1)*d*(d + d*d/12 + e*d/12) with exact rational d/12."""
     d12 = Fraction(d, 12)
     return (d12 + 1) * d * (d + d * d12 + e * d12)
-
-
-@dataclass(frozen=True)
-class DimensionBound:
-    """Combinatorial and closed-form bounds on the solution-space dimension."""
-
-    d: int
-    e: int
-    m: int
-    a: int
-    c: int
-    combinatorial: int        # dof(a, m) - constraint_bound(d, e, m), may be negative
-    printed_cubic: Fraction   # the closed-form floor in d alone
-
-    @property
-    def guaranteed(self) -> int:
-        return max(0, self.combinatorial)
-
-
-def dimension_lower_bound(d: int, e: int) -> DimensionBound:
-    """Both dimension bounds at the canonical choices m = floor(d/12), a = d-4m, c = d."""
-    m = d // 12
-    a = d - 4 * m
-    if m >= 1:
-        combinatorial = dof(a, m) - constraint_bound(d, e, m)
-    else:
-        combinatorial = dof(a, 0)  # no jet order, no constraints to bound
-    return DimensionBound(d=d, e=e, m=m, a=a, c=d,
-                          combinatorial=combinatorial, printed_cubic=cubic_value(d))
 
 
 def euler_characteristic(d: int, e: int, m: int) -> Fraction:
@@ -185,7 +149,10 @@ class CountReport:
 
 def count_report(d: int, e: int, m: int | None = None, a: int | None = None,
                  c: int | None = None) -> CountReport:
-    """CountReport at the canonical parameters unless overridden."""
+    """CountReport at the paper's parameters m = floor(d/12), a = d-4m, c = d
+    unless overridden; the one place they are defined.  Below d = 12, where
+    floor(d/12) = 0 is no jet order, m defaults to 1 and a to max(0, d-4).
+    """
     if d < 1 or e < 1:
         raise ValueError("count_report requires d, e >= 1")
     if m is None:
@@ -198,7 +165,7 @@ def count_report(d: int, e: int, m: int | None = None, a: int | None = None,
         raise ValueError("count_report requires m >= 1")
     if c < 0:
         raise ValueError("count_report requires c >= 0")
-    report = CountReport(
+    return CountReport(
         d=d, e=e, m=m, a=a, c=c,
         dof=dof(a, m),
         constraint_bound=constraint_bound(d, e, m),
@@ -207,6 +174,3 @@ def count_report(d: int, e: int, m: int | None = None, a: int | None = None,
         cubic_value=cubic_value(d),
         chi=euler_characteristic(d, e, m),
     )
-    if report.dof < 0 or report.constraint_bound < 0:
-        raise AssertionError("count invariants violated")
-    return report

@@ -34,8 +34,6 @@ from .jetbuilder import (
     JetSpec,
     SurfacePair,
     build_jet,
-    index_tuples,
-    monomials_upto,
     validate_field,
 )
 from .polyring import ExactPoly, VarSet, monomial_quotient, poly_diff
@@ -157,11 +155,11 @@ def verify_derivative_transfer(r: ExactPoly, d: int, chart: str) -> bool:
 class InfinityExponentReport:
     """Exactness of the chart exponent bookkeeping for one parameter choice.
 
-    residuals_ok covers the per-index exponents over the whole grid;
-    the prefactor exponent c-a-4m decides holomorphy and vanishing along
-    the hyperplane at infinity.  witness is an index tuple (j,k,p,q,h,i)
-    whose total chart exponent is negative, present exactly when the
-    boxed bound a <= c-4m fails.
+    residuals_ok and residual_min cover the per-index exponents over the
+    whole grid; they are always True and 0.  The prefactor exponent c-a-4m
+    decides holomorphy and vanishing along the hyperplane at infinity.
+    witness is an index tuple (j,k,p,q,h,i) whose total chart exponent is
+    negative, present exactly when the boxed bound a <= c-4m fails.
     """
 
     m: int
@@ -180,19 +178,20 @@ class InfinityExponentReport:
 
 
 def verify_infinity_exponents(spec: JetSpec) -> InfinityExponentReport:
-    """Exhaustively audit the chart exponents over the admissible index grid."""
-    grid = [(t + (h, i), _residual(spec, t, h, i))
-            for t in index_tuples(spec.m) for (h, i) in monomials_upto(spec.a)]
-    residual_min = min(residual for _, residual in grid)
+    """The chart exponents over the admissible index grid, in closed form.
+
+    Each residual a - (h+i) + 2m - (2j+2k+p+q) is >= 0, as h + i <= a and
+    2j+2k+p+q = m+j+k <= 2m, and is 0 at (m,0,0,0,a,0).  So the least
+    total exponent is c-a-4m, and when it is negative that index is a witness.
+    """
+    margin = spec.infinity_margin
     return InfinityExponentReport(
         m=spec.m, c=spec.c, a=spec.a,
-        residuals_ok=residual_min >= 0,
-        residual_min=residual_min,
-        prefactor_exponent=spec.infinity_margin,
+        residuals_ok=True, residual_min=0,
+        prefactor_exponent=margin,
         holomorphic_at_infinity=spec.holomorphic_at_infinity,
-        vanishes_at_infinity=spec.infinity_margin >= 1,
-        witness=next((index for index, residual in grid
-                      if spec.infinity_margin + residual < 0), None),
+        vanishes_at_infinity=margin >= 1,
+        witness=(spec.m, 0, 0, 0, spec.a, 0) if margin < 0 else None,
     )
 
 

@@ -6,12 +6,10 @@ from jetdiff.counting import (
     ChiCrossCheck,
     chi_brackets,
     chi_cross_check_2_3,
-    choose_m,
     constraint_bound,
     constraint_upper_bound,
     count_report,
     cubic_value,
-    dimension_lower_bound,
     dof,
     dof_lower_bound,
     e_upper_bound,
@@ -87,37 +85,30 @@ class TestCubicThreshold:
 
 
 class TestParameterChoices:
-    def test_choose_m(self):
-        assert choose_m(752) == 62
-
     def test_e_upper_bound(self):
         assert e_upper_bound(752) == 872
 
     def test_floor_sandwich(self):
         for d in range(12, 201):
-            m = choose_m(d)
-            assert Fraction(d, 12) - 1 <= m <= Fraction(d, 12)
+            report = count_report(d, d)
+            assert Fraction(d, 12) - 1 <= report.m <= Fraction(d, 12)
+            assert (report.a, report.c) == (d - 4 * report.m, d)
 
 
 class TestDimensionBounds:
     def test_positive_at_threshold(self):
-        bound = dimension_lower_bound(752, 752)
-        assert bound.m == 62 and bound.a == 504 and bound.c == 752
-        assert bound.combinatorial > 0
-        assert bound.printed_cubic > 0
-        assert bound.combinatorial >= bound.printed_cubic
-        assert bound.guaranteed == bound.combinatorial
+        report = count_report(752, 752)
+        combinatorial = report.to_json_dict()["combinatorial_dimension_bound"]
+        assert combinatorial == report.dof - report.constraint_bound > 0
+        assert report.cubic_value > 0
+        assert combinatorial >= report.cubic_value
 
     def test_below_threshold_reported_as_is(self):
-        bound = dimension_lower_bound(100, 100)
-        assert bound.printed_cubic < 0
-        assert bound.guaranteed == max(0, bound.combinatorial)
-
-    def test_below_twelve_there_is_no_jet_order(self):
-        # m = floor(11/12) = 0: no constraints to bound, so the count is dof(a, 0)
-        bound = dimension_lower_bound(11, 11)
-        assert (bound.m, bound.a, bound.c) == (0, 11, 11)
-        assert bound.combinatorial == dof(11, 0) == 78
+        report = count_report(100, 100)
+        assert report.cubic_value < 0
+        # a negative bound is reported unclipped
+        combinatorial = report.to_json_dict()["combinatorial_dimension_bound"]
+        assert combinatorial == report.dof - report.constraint_bound < 0
 
     def test_dof_minorant(self):
         for d in (96, 240, 752):
@@ -179,3 +170,10 @@ class TestCountReport:
     def test_overrides(self):
         report = count_report(5, 5, m=1, a=1, c=5)
         assert report.dof == 12 and report.constraint_bound == 150
+
+    def test_below_twelve_the_jet_order_is_one(self):
+        # floor(d/12) = 0 is no jet order: m defaults to 1 and a to max(0, d - 4)
+        for d, a in ((11, 7), (5, 1), (3, 0)):
+            report = count_report(d, d)
+            assert (report.m, report.a, report.c) == (1, a, d)
+            assert report.dof == dof(a, 1)

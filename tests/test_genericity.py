@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetdiff import genericity, polyring
 from jetdiff.genericity import (
@@ -22,13 +23,23 @@ from jetdiff.genericity import (
     pair_transversality_check,
     shear,
 )
-from jetdiff.jetbuilder import XY, SurfacePair
+from jetdiff.jetbuilder import XY, SurfacePair, monomials_upto
 from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, resultant
 from jetdiff.sampling import random_surface_pair
 
 X = ExactPoly.variable(XY, "x")
 Y = ExactPoly.variable(XY, "y")
 ONE = ExactPoly.const(XY, 1)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def plane_polys(max_degree: int):
+    """Nonzero integer polynomials over XY of total degree <= max_degree."""
+    monomials = list(monomials_upto(max_degree))
+    return st.lists(st.integers(-5, 5), min_size=len(monomials),
+                    max_size=len(monomials)).filter(any).map(
+        lambda coeffs: ExactPoly(XY, dict(zip(monomials, map(Fraction, coeffs)))))
 
 
 class TestShear:
@@ -103,6 +114,18 @@ class TestPairTransversality:
         assert report.resultant_degree == 3 * 2
         assert report.squarefree
 
+    def test_degenerate_leading_forms_under_all_shears_are_inconclusive(self):
+        # the leading forms vanish at [-s:1] for the eight shears s of seed
+        # 127, p at the first four and q at the last four, so no shear keeps
+        # both y^4 terms
+        p = poly_parse("x*(2*x - 3*y)*(13*x + 2*y)*(39*x - 53*y) + x + 1", XY)
+        q = poly_parse("(49*x + 87*y)*(19*x + 4*y)*(49*x - 69*y)*(95*x - 14*y) + y - 2",
+                       XY)
+        report = pair_transversality_check(p, q, seed=127)
+        assert report.verdict == INCONCLUSIVE
+        assert report.witness == "degenerate leading forms under all shears"
+        assert report.shear_used is None
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             pair_transversality_check(ONE, Y)
@@ -127,9 +150,39 @@ class TestCurveSmoothness:
         assert not curve_smooth_check(poly_parse("(x + y)^2", XY))
 
     def test_x_free_curve_is_decided_by_its_profile(self):
-        # y - 1 has no x-dependence under any shear: smooth, since y - 1 is squarefree
-        assert genericity._curve_smooth_verdict(Y - ONE) == (PASS, None)
-        assert curve_smooth_check(Y - ONE)
+        # an x-free curve smooth at infinity is a line y = c: ps_x = 0 under
+        # every shear, and the resultant with ps_y is a nonzero constant
+        for line in (Y - ONE, Y - ExactPoly.const(XY, 3)):
+            assert genericity._curve_smooth_verdict(line) == (PASS, None)
+            assert curve_smooth_check(line)
+        # y^2 + y meets infinity only at [1:0:0], where it is singular
+        assert not curve_smooth_check(Y * Y + Y)
+        assert genericity._curve_smooth_verdict(Y * Y + Y) == (
+            FAIL, "singular direction at infinity of y^2")
+
+    @pytest.mark.parametrize("text", [
+        "(y - 1)^2", "y*(y - 1)^2", "(x^2 + y^2 - 1)^2", "(y - x^2)^2",
+        "(y - 1)^2*(x + y + 2)", "(x + 2*y - 1)^2*(x^2 - y + 3)"])
+    def test_repeated_factor_fails_at_infinity(self, text):
+        # res(p, p_y) = 0, a case the affine loop of the smoothness check
+        # leaves out: the check at infinity must refuse these curves first
+        curve = poly_parse(text, XY)
+        assert resultant(curve, poly_diff(curve, "y"), "y").is_zero()
+        verdict, witness = genericity._smooth_at_infinity(curve)
+        assert verdict == FAIL and witness.startswith("singular direction at infinity")
+
+    @PROPERTY
+    @given(plane_polys(2).filter(lambda h: not h.is_constant()), plane_polys(2))
+    def test_square_factor_fails_at_infinity(self, h, k):
+        # the closure of h = 0 meets infinity, and h^2 k is singular there
+        assert genericity._smooth_at_infinity(h * h * k)[0] == FAIL
+
+    @PROPERTY
+    @given(st.lists(st.integers(-9, 9), min_size=3, max_size=7).filter(lambda c: c[-1]))
+    def test_x_free_curve_of_degree_two_or_more_fails_at_infinity(self, coeffs):
+        # leading form c*y^n with n >= 2: singular at [1:0:0]
+        curve = ExactPoly(XY, {(0, i): Fraction(c) for i, c in enumerate(coeffs) if c})
+        assert genericity._smooth_at_infinity(curve)[0] == FAIL
 
     def test_nodes_over_irrational_x_stay_inconclusive(self):
         # the nodes (+-sqrt(3), 1) have no rational x: res(ps, ps_x) vanishes
