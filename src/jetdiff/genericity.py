@@ -17,6 +17,11 @@ the gcd-based checks may be proved by a gcd of degree 0 modulo a prime (see
 ``polyring.gcd_univariate``); fail and inconclusive verdicts, and their
 witnesses, always come from the exact remainder sequence.  No rational
 root candidate is missed: ``polyring.rational_roots`` is complete.
+
+One audit keeps one ``_ShearTable``: each curve is sheared at most once per
+shear value and each pair's resultant formed at most once, and the
+smoothness, pair and triple checks all read them from it.  A check called
+on its own builds a table of its own, so sharing changes no verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .jetbuilder import XY, SurfacePair
 from .polyring import (
@@ -55,29 +60,61 @@ def shear(p: ExactPoly, s: Fraction | int) -> ExactPoly:
     return poly_substitute(p, {"x": x_image})
 
 
-def _shear_values(seed: int) -> list[Fraction]:
-    """The identity shear followed by seeded random rationals (|num|, den <= 97)."""
-    rng = random.Random(seed)
+def _shear_values(seed: int) -> Iterator[Fraction]:
+    """The identity shear, then distinct seeded random rationals (|num|, den <= 97).
+
+    The generator is seeded only when a caller asks for a value past the
+    identity, which decides most checks.
+    """
     values = [Fraction(0)]
+    yield values[0]
+    rng = random.Random(seed)
     while len(values) < MAX_SHEAR_ATTEMPTS:
         s = Fraction(rng.randint(1, 97) * rng.choice((1, -1)), rng.randint(1, 97))
         if s not in values:
             values.append(s)
-    return values
+            yield s
 
 
-def _keeps_top_y(polys: list[ExactPoly]) -> bool:
+def _keeps_top_y(polys: Iterable[ExactPoly]) -> bool:
     """True iff every poly keeps its pure y^deg term: the shear is valid for them."""
     return all(p.coefficient((0, p.total_degree())) != 0 for p in polys)
 
 
-def _valid_shears(polys: tuple[ExactPoly, ...], seed: int
-                  ) -> Iterator[tuple[Fraction, list[ExactPoly]]]:
-    """Each seeded shear s, with the sheared polys, under which every one stays valid."""
-    for s in _shear_values(seed):
-        sheared = [shear(p, s) for p in polys]
-        if _keeps_top_y(sheared):
-            yield s, sheared
+class _ShearTable:
+    """The named curves of one audit, each sheared and each pair eliminated once.
+
+    `sheared(name, s)` is shear(curve, s), and `resultant(a, b, s)` the
+    y-resultant of the sheared curves a and b; each is formed at most once
+    per shear value.  Callers name a pair in the order of the table's curves
+    (SIX_CURVE_NAMES in an audit), the orientation every check uses.  A
+    table lives for one audit and is never shared beyond it.
+    """
+
+    def __init__(self, curves: dict[str, ExactPoly]):
+        self.curves = curves
+        self._sheared: dict[tuple[str, Fraction], ExactPoly] = {}
+        self._resultants: dict[tuple[str, str, Fraction], ExactPoly] = {}
+
+    def sheared(self, name: str, s: Fraction) -> ExactPoly:
+        key = name, s
+        if key not in self._sheared:
+            self._sheared[key] = shear(self.curves[name], s)
+        return self._sheared[key]
+
+    def resultant(self, a: str, b: str, s: Fraction) -> ExactPoly:
+        key = a, b, s
+        if key not in self._resultants:
+            self._resultants[key] = resultant(self.sheared(a, s), self.sheared(b, s), "y")
+        return self._resultants[key]
+
+    def keeps_top_y(self, names: Iterable[str], s: Fraction) -> bool:
+        """True iff the shear s is valid for every named curve."""
+        return _keeps_top_y(self.sheared(name, s) for name in names)
+
+    def valid_shears(self, names: tuple[str, ...], seed: int) -> Iterator[Fraction]:
+        """Each seeded shear under which every named curve stays valid."""
+        return (s for s in _shear_values(seed) if self.keeps_top_y(names, s))
 
 
 def _gcd_fold(polys: list[ExactPoly]) -> ExactPoly:
@@ -125,9 +162,14 @@ class IntersectionReport:
                 and self.squarefree and self.all_affine)
 
 
-def pair_transversality_check(p: ExactPoly, q: ExactPoly,
-                              seed: int = DEFAULT_SEED) -> IntersectionReport:
-    """Certify that p = 0 and q = 0 meet in exactly deg(p)*deg(q) simple affine points."""
+def pair_transversality_check(p: ExactPoly, q: ExactPoly, seed: int = DEFAULT_SEED, *,
+                              shared: tuple[_ShearTable, str, str] | None = None
+                              ) -> IntersectionReport:
+    """Certify that p = 0 and q = 0 meet in exactly deg(p)*deg(q) simple affine points.
+
+    `shared` is an audit's shear table with the names it holds p and q
+    under, p first; without it the check shears in a table of its own.
+    """
     for poly, label in ((p, "p"), (q, "q")):
         if poly.is_zero() or poly.is_constant():
             raise ValueError(f"{label} must be a non-constant polynomial")
@@ -136,8 +178,9 @@ def pair_transversality_check(p: ExactPoly, q: ExactPoly,
                      squarefree=False, all_affine=True)
     last_witness = None
     last_shear = None
-    for s, (ps, qs) in _valid_shears((p, q), seed):
-        res = resultant(ps, qs, "y")
+    table, a, b = shared or (_ShearTable({"p": p, "q": q}), "p", "q")
+    for s in table.valid_shears((a, b), seed):
+        res = table.resultant(a, b, s)
         if res.is_zero():
             return report(resultant_degree=-1, all_affine=False, shear_used=s, verdict=FAIL,
                           witness="resultant identically zero (common factor)")
@@ -226,7 +269,14 @@ def _verify_affine_point_candidates(g: ExactPoly, system: list[ExactPoly]) -> st
     return None
 
 
-def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED) -> tuple[str, str | None]:
+def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED, *,
+                          shared: tuple[_ShearTable, str] | None = None
+                          ) -> tuple[str, str | None]:
+    """Smoothness verdict and witness of the curve p = 0.
+
+    `shared` is an audit's shear table with the name N it holds p under,
+    and p_x, p_y under Nx, Ny; without it the check builds its own.
+    """
     if p.is_zero() or p.is_constant():
         raise ValueError("smoothness check requires a non-constant polynomial")
     infinity_verdict, infinity_witness = _smooth_at_infinity(p)
@@ -239,12 +289,21 @@ def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED) -> tuple[str, 
     #   forces k >= 2, and the points at infinity of g = 0 are singular;
     # * px = 0 only on a line y = c: an x-free curve of degree n >= 2 has
     #   leading form c*y^n and is singular at [1:0:0].  u is then constant.
+    table, name = shared or (_ShearTable({"p": p, "px": poly_diff(p, "x"),
+                                          "py": poly_diff(p, "y")}), "p")
+    x_name, y_name = name + "x", name + "y"
     last_witness = None
-    for s, (ps,) in _valid_shears((p,), seed):
-        px = poly_diff(ps, "x")
-        py = poly_diff(ps, "y")
-        u = resultant(ps, py, "y")
-        v = resultant(ps, px, "y") if px else px
+    for s in table.valid_shears((name,), seed):
+        ps = table.sheared(name, s)
+        # by the chain rule the x-partial of ps is shear(p_x) at every s, but
+        # its y-partial shear(p_y) + s*shear(p_x) is shear(p_y) only at s = 0
+        px = table.sheared(x_name, s)
+        if s == 0:
+            py, u = table.sheared(y_name, s), table.resultant(name, y_name, s)
+        else:
+            py = poly_diff(ps, "y")
+            u = resultant(ps, py, "y")
+        v = table.resultant(name, x_name, s) if px else px
         g = u if v.is_zero() else gcd_univariate(u, v)
         if g.is_constant():
             return PASS, None
@@ -262,41 +321,40 @@ def curve_smooth_check(p: ExactPoly, seed: int = DEFAULT_SEED) -> bool:
 
 # -- triple points ------------------------------------------------------------
 
-def _triple_verdicts(curves: dict[str, ExactPoly], seed: int
+def _triple_verdicts(curves: dict[str, ExactPoly], seed: int, *,
+                     shared: _ShearTable | None = None
                      ) -> dict[tuple[str, ...], tuple[str, str | None]]:
     """Verdict and witness of every triple of the named non-constant curves.
 
-    One walk of the shear sequence serves all triples: at each shear, every
-    curve of a still undecided triple is sheared once, and the resultant of
-    each pair (a, b), a before b, is computed once for every triple it
-    serves.  A shear is tried on a triple only if it is valid for its three
-    curves, so each triple sees the shears it would see alone.
+    One walk of the shear sequence serves all triples, and every sheared
+    curve and pair resultant (a, b), a before b, comes from one shear
+    table: `shared`, an audit's table holding the curves under the same
+    names, or else a table of their own.  A shear is tried on a triple only
+    if it is valid for its three curves, so each triple sees the shears it
+    would see alone.
     """
+    table = _ShearTable(curves) if shared is None else shared
     undecided = dict.fromkeys(combinations(curves, 3))   # triple -> last witness
     verdicts: dict[tuple[str, ...], tuple[str, str | None]] = {}
     for s in _shear_values(seed):
-        needed = {name for triple in undecided for name in triple}
-        sheared = {name: shear(poly, s) for name, poly in curves.items() if name in needed}
-        resultants: dict[tuple[str, str], ExactPoly] = {}
         for triple in list(undecided):
-            polys = [sheared[name] for name in triple]
-            if not _keeps_top_y(polys):
+            if not table.keeps_top_y(triple, s):
                 continue
             a, b, c = triple
-            for pair in ((a, b), (a, c)):
-                if pair not in resultants:
-                    resultants[pair] = resultant(sheared[pair[0]], sheared[pair[1]], "y")
-            res_ab, res_ac = resultants[a, b], resultants[a, c]
+            res_ab, res_ac = table.resultant(a, b, s), table.resultant(a, c, s)
             if res_ab.is_zero() or res_ac.is_zero():
                 verdicts[triple] = FAIL, "two of the three curves share a component"
             elif (g := gcd_univariate(res_ab, res_ac)).is_constant():
                 verdicts[triple] = PASS, None
-            elif (witness := _verify_affine_point_candidates(g, polys)) is not None:
+            elif (witness := _verify_affine_point_candidates(
+                    g, [table.sheared(name, s) for name in triple])) is not None:
                 verdicts[triple] = FAIL, f"triple point: {witness}"
             else:
                 undecided[triple] = str(g)
                 continue
             del undecided[triple]
+        if not undecided:
+            break
     for triple, last_witness in undecided.items():
         verdicts[triple] = INCONCLUSIVE, f"unseparated triple-point candidates {last_witness}"
     return verdicts
@@ -420,10 +478,11 @@ def full_genericity_audit(surf: SurfacePair, seed: int = DEFAULT_SEED) -> Generi
     transversality of each of the six curves with the line at infinity.
     """
     curves = _six_curves(surf)
+    table = _ShearTable(curves)
     checks: list[CheckResult] = []
 
-    for label, poly in (("R", surf.r), ("S", surf.s)):
-        verdict, witness = _curve_smooth_verdict(poly, seed)
+    for label in ("R", "S"):
+        verdict, witness = _curve_smooth_verdict(curves[label], seed, shared=(table, label))
         checks.append(CheckResult(f"smooth_{label}", verdict, witness, shear_seed=seed))
 
     for (idx_a, a), (idx_b, b) in combinations(enumerate(SIX_CURVE_NAMES), 2):
@@ -432,14 +491,15 @@ def full_genericity_audit(surf: SurfacePair, seed: int = DEFAULT_SEED) -> Generi
         if curves[a].is_constant() or curves[b].is_constant():
             checks.append(CheckResult(name, INCONCLUSIVE, "constant curve"))
             continue
-        report = pair_transversality_check(curves[a], curves[b], seed=pair_seed)
+        report = pair_transversality_check(curves[a], curves[b], seed=pair_seed,
+                                           shared=(table, a, b))
         checks.append(CheckResult(
             name, report.verdict, report.witness,
             shear_used=None if report.shear_used is None else str(report.shear_used),
             shear_seed=pair_seed))
 
     triples = _triple_verdicts({name: poly for name, poly in curves.items()
-                                if not poly.is_constant()}, seed + 997)
+                                if not poly.is_constant()}, seed + 997, shared=table)
     for triple in combinations(SIX_CURVE_NAMES, 3):
         name = "triple_" + "_".join(triple)
         if triple in triples:

@@ -49,8 +49,11 @@ def _to_primitive_int_row(row: SparseRow) -> dict[int, int]:
     entries = {j: c for j, c in row.items() if c}
     if not entries:
         return {}
-    scale = lcm(*[c.denominator for c in entries.values()])
-    ints = {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
+    if all(type(c) is int for c in entries.values()):
+        ints = entries
+    else:
+        scale = lcm(*[c.denominator for c in entries.values()])
+        ints = {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
     content = gcd(*ints.values())
     if content == 1:
         return ints

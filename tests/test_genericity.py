@@ -2,7 +2,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,23 @@ class TestShear:
             if p.is_zero():
                 continue
             assert shear(p, Fraction(3, 5)).total_degree() == p.total_degree()
+
+
+class TestShearValues:
+    def test_seed_127_sequence(self):
+        assert list(genericity._shear_values(127)) == [
+            Fraction(0), Fraction(3, 2), Fraction(-2, 13), Fraction(53, 39),
+            Fraction(-87, 49), Fraction(-4, 19), Fraction(69, 49), Fraction(14, 95)]
+
+    def test_identity_comes_before_the_generator_is_seeded(self, monkeypatch):
+        seeded = []
+        monkeypatch.setattr(genericity, "random",
+                            SimpleNamespace(Random=lambda seed: seeded.append(seed)))
+        values = genericity._shear_values(127)
+        assert next(values) == 0 and seeded == []
+        with pytest.raises(AttributeError):
+            next(values)
+        assert seeded == [127]
 
 
 class TestPairTransversality:
@@ -385,6 +404,109 @@ class TestTriplePass:
                                          if not poly.is_constant()}, DEFAULT_SEED + 997)
             # without sharing, the 20 triples would take 40 resultants per shear
             assert 0 < len(calls) <= 15 * len(shears)
+
+
+def _standalone_verdicts(surf, seed):
+    """Each mandatory curve check of the audit, run alone in a table of its own."""
+    curves = genericity._six_curves(surf)
+    verdicts = {}
+    for label in ("R", "S"):
+        verdict, witness = genericity._curve_smooth_verdict(curves[label], seed)
+        assert curve_smooth_check(curves[label], seed) == (verdict == PASS)
+        verdicts[f"smooth_{label}"] = verdict, witness, None
+    for (idx_a, a), (idx_b, b) in combinations(enumerate(SIX_CURVE_NAMES), 2):
+        if curves[a].is_constant() or curves[b].is_constant():
+            continue
+        report = pair_transversality_check(curves[a], curves[b], seed=seed + idx_a * 16 + idx_b)
+        shear_used = None if report.shear_used is None else str(report.shear_used)
+        verdicts[f"pair_{a}_{b}"] = report.verdict, report.witness, shear_used
+    for triple in combinations(SIX_CURVE_NAMES, 3):
+        polys = [curves[name] for name in triple]
+        if any(poly.is_constant() for poly in polys):
+            continue
+        verdict, witness = genericity._triple_verdicts(dict(zip(triple, polys)),
+                                                       seed + 997)[triple]
+        assert no_triple_check(*polys, seed=seed + 997) == (verdict == PASS)
+        verdicts["triple_" + "_".join(triple)] = verdict, witness, None
+    return verdicts
+
+
+def _assert_sharing_changes_no_verdict(surf, seed=DEFAULT_SEED):
+    """The audit's curve checks, which share one shear table, equal the
+    checks run alone; returns the number of checks decided past the identity."""
+    audit = {c.name: c for c in full_genericity_audit(surf, seed).checks}
+    alone = _standalone_verdicts(surf, seed)
+    assert alone
+    for name, expected in alone.items():
+        check = audit[name]
+        assert (check.verdict, check.witness, check.shear_used) == expected, name
+    return sum(shear not in (None, "0") for _, _, shear in alone.values())
+
+
+def sparse_surfaces():
+    """Surfaces of degree 2 or 3 whose other coefficients are mostly zero, so
+    that some partials lose their top y-term and need a non-identity shear."""
+    def poly(degree, coeffs):
+        terms = dict(zip(monomials_upto(degree), map(Fraction, coeffs)))
+        terms[degree, 0] = terms[degree, 0] or Fraction(1)
+        terms[0, degree] = terms[0, degree] or Fraction(-1)
+        return ExactPoly(XY, {e: c for e, c in terms.items() if c})
+
+    def coeffs(degree):
+        size = len(list(monomials_upto(degree)))
+        return st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=size,
+                        max_size=size)
+
+    return st.tuples(st.integers(2, 3), st.integers(2, 3)).map(sorted).flatmap(
+        lambda de: st.tuples(coeffs(de[0]).map(partial(poly, de[0])),
+                             coeffs(de[1]).map(partial(poly, de[1])))).map(
+        lambda rs: SurfacePair(*rs))
+
+
+class TestSharedShearTable:
+    """One audit shears each curve and forms each pair's resultant once, in one
+    table; every check must still decide as it does alone."""
+
+    # the seed-127 grid pair: 56 simple affine points, identity shear invalid for p
+    GRID_P = "*".join(f"(x - ({i}))" for i in (-87, -4, -2, 0, 3, 14, 53, 69))
+    GRID_Q = "*".join(f"(y - ({j}))" for j in (0, 2, 13, 19, 39, 49, 95))
+
+    @pytest.mark.parametrize("case", sorted(TestFailingAuditReports.CASES))
+    def test_failing_audits(self, case):
+        r_text, s_text, _ = TestFailingAuditReports.CASES[case]
+        _assert_sharing_changes_no_verdict(SurfacePair.parse(r_text, s_text))
+
+    def test_audited_surfaces_reach_non_identity_shears(self):
+        past_identity = sum(_assert_sharing_changes_no_verdict(surf)
+                            for surf in _audited_surfaces())
+        assert past_identity > 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sparse_surfaces(), st.integers(1, 300))
+    def test_sparse_surfaces(self, surf, seed):
+        _assert_sharing_changes_no_verdict(surf, seed)
+
+    def test_grid_pair_reads_the_triple_walks_resultants(self):
+        # the triple walk at seed 127 fills the table at the pair's own shears
+        curves = {"p": poly_parse(self.GRID_P, XY), "q": poly_parse(self.GRID_Q, XY),
+                  "r": X + Y + ONE}
+        table = genericity._ShearTable(curves)
+        assert (genericity._triple_verdicts(curves, 127, shared=table)
+                == genericity._triple_verdicts(curves, 127))
+        for a, b in combinations(curves, 2):
+            shared = pair_transversality_check(curves[a], curves[b], 127, shared=(table, a, b))
+            assert shared == pair_transversality_check(curves[a], curves[b], 127)
+            assert (shared.shear_used != 0) == (a == "p")
+
+    def test_table_forms_each_shear_and_resultant_once(self, monkeypatch):
+        shears = _count_calls(monkeypatch, genericity, "shear")
+        resultants = _count_calls(monkeypatch, genericity, "resultant")
+        table = genericity._ShearTable({"p": Y - X, "q": Y + X})
+        p2, q2 = poly_parse("y - x - 2*y", XY), poly_parse("y + x + 2*y", XY)
+        for _ in range(2):
+            assert table.resultant("p", "q", Fraction(2)) == resultant(p2, q2, "y")
+            assert table.sheared("p", Fraction(2)) == p2
+        assert len(shears) == 2 and len(resultants) == 1
 
 
 def _dense_polynomial_text(rng, degree):

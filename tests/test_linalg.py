@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +314,29 @@ def test_unlucky_prime_falls_back_to_exact(monkeypatch, rows, ncols, kernel):
     calls.clear()
     assert rank(rows, ncols) == ncols - len(kernel)
     assert calls == [ncols]
+
+
+def _primitive_row_by_lcm(row):
+    """The primitive integer row by one formula for every entry: scale by the
+    lcm of the denominators, then divide out the content."""
+    entries = {j: Fraction(c) for j, c in row.items() if c}
+    if not entries:
+        return {}
+    scale = lcm(*[c.denominator for c in entries.values()])
+    ints = {j: int(c * scale) for j, c in entries.items()}
+    content = gcd(*ints.values())
+    return {j: v // content for j, v in ints.items()}
+
+
+@PROPERTY
+@given(st.dictionaries(st.integers(0, 9), st.integers(-60, 60)
+                       | st.fractions(min_value=-20, max_value=20, max_denominator=12)))
+def test_primitive_row_matches_the_lcm_formula(row):
+    # integer rows take a path with no denominators; mixed rows, zeros and
+    # integral Fractions must come out the same either way
+    primitive = linalg._to_primitive_int_row(row)
+    assert primitive == _primitive_row_by_lcm(row)
+    assert all(type(v) is int and v for v in primitive.values())
 
 
 def test_row_content_divisible_by_p_is_divided_out():

@@ -4,11 +4,13 @@ and the per-layer counts it reads on `solve` must keep their meaning."""
 import importlib
 import importlib.util
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 from jetdiff import cli
 from jetdiff.jetbuilder import JetContext
+from test_genericity import _dense_polynomial_text
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,3 +63,23 @@ def test_solve_runs_each_certification_layer_once_per_vector(tmp_path, capsys, m
     calls = Counter(name for name, _, _, _ in tracer.spans)
     assert [calls[name] for name in ("divisibility.build_section", "jetbuilder.expand_lambda",
                                      "jetbuilder.build_jet", "surfacecharts.restrict")] == [11] * 4
+
+
+def test_audit_passing_at_the_identity_shears_each_curve_once(tmp_path, capsys):
+    # the benchmark's audit wrappers must stay on the path: one shared table
+    # shears each of the six curves once and forms each pair's resultant
+    # once, and the 15 pair checks still run by name
+    rng = random.Random(7)
+    path = tmp_path / "surface.txt"
+    path.write_text(f"R = {_dense_polynomial_text(rng, 5)}\n"
+                    f"S = {_dense_polynomial_text(rng, 5)}\n")
+    tracer = load_tracer().Tracer()
+    with tracer:
+        code = cli.main(["audit", "--surface", str(path)])
+    body = json.loads(capsys.readouterr().out)
+    assert code == 0 and body["verdict"] == "pass"
+    assert all(check["shear"] in (None, "0") for check in body["checks"])
+    calls = Counter(name for name, _, _, _ in tracer.spans)
+    assert [calls[name] for name in ("genericity.pair_check", "genericity.shear",
+                                     "polyring.resultant")] == [15, 6, 15]
+    assert calls["polyring.poly_substitute"] >= 1
