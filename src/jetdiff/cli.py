@@ -26,7 +26,7 @@ from .divisibility import (
 )
 from .genericity import DEFAULT_SEED, full_genericity_audit
 from .injectivity import analyze_injectivity
-from .jetbuilder import XY, JetSpec, SurfacePair
+from .jetbuilder import XY, JetSpec, SurfacePair, build_jet
 from .polyring import MAX_DEGREE, ParseError, poly_parse
 from .sampling import (
     random_coefficient_field,
@@ -229,8 +229,9 @@ def _verify_transfer_suite(args: argparse.Namespace) -> dict:
         surf = random_surface_pair(rng, degree, degree)
         field = random_coefficient_field(rng, 1, 1)
         spec = JetSpec(m=1, c=5, a=1)
+        jet = build_jet(field, surf, spec)
         for chart in CHARTS:
-            result = full_chart_transfer(field, surf, spec, chart)
+            result = full_chart_transfer(field, surf, spec, chart, jet=jet)
             runs.append({"kind": "full", "degree": degree, "chart": chart,
                          "identity": "pass" if result.identity_ok else "fail",
                          "prefactor_exponent": result.prefactor_exponent,

@@ -26,7 +26,8 @@ rows.
 
 `rank` is ncols minus the length of that basis, so it takes the same
 route: full column rank mod p or a verified kernel proves it, and only a
-failed proof reaches Bareiss elimination.
+failed proof reaches Bareiss elimination.  `full_column_rank` is the
+one-sided half alone: True is a proof, False only a failed attempt.
 
 `SparseMatrix` is the labelled matrix every exact system of the package
 is built into, by the one builder `divisibility.shift_matrix`: polynomial
@@ -253,6 +254,17 @@ def _modular_nullspace(int_rows: list[dict[int, int]], ncols: int) -> list[list[
             vec[j] = Fraction(n, d)
         basis.append(vec)
     return basis
+
+
+def full_column_rank(rows: list[SparseRow], ncols: int) -> bool:
+    """True only when the rows are proved to have full column rank over Q.
+
+    The primitive integer rows are reduced mod p; ncols pivots mod p prove
+    ncols pivots over Q, as reducing an integer matrix mod p can only lower
+    its rank.  False proves nothing: the rank over Q may still be full.
+    """
+    int_rows = [_to_primitive_int_row(r) for r in rows]
+    return len(_echelon_mod_p(int_rows, ncols)) == ncols
 
 
 def _exact_nullspace(int_rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .jetbuilder import (
     JET_VARS,
@@ -79,11 +80,13 @@ def restrict_to_surface(field: CoefficientField, surf: SurfacePair, spec: JetSpe
 
 # -- chart transfer -----------------------------------------------------------
 
+@cache
 def _chart(chart: str) -> tuple[ExactPoly, ExactPoly, ExactPoly, ExactPoly]:
     """The chart map: (u, u', image of x', image of y'), u the inverted coordinate.
 
     inv_x is x -> 1/x1, y -> y1/x1 (u = x1); inv_y is x -> x1/y1, y -> 1/y1
-    (u = y1).  The images of x' and y' are their numerators over u^2.
+    (u = y1).  The images of x' and y' are their numerators over u^2.  Formed
+    once per chart: the polynomials are immutable.
     """
     x1, y1, x1p, y1p = (ExactPoly.variable(CHART_VARS, name) for name in CHART_VARS.names)
     if chart == INV_X:

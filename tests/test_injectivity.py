@@ -1,7 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
 
+from jetdiff import injectivity, linalg
+from jetdiff.cli import main
 from jetdiff.divisibility import jet_matrix, shift_matrix, unknown_labels
 from jetdiff.genericity import full_genericity_audit, pair_transversality_check
 from jetdiff.injectivity import GenericityGateError, analyze_injectivity, injectivity_matrix
@@ -17,7 +21,7 @@ from jetdiff.jetbuilder import (
     index_tuples,
     monomials_upto,
 )
-from jetdiff.linalg import rank, row_echelon
+from jetdiff.linalg import full_column_rank, nullspace, rank, row_echelon
 from jetdiff.polyring import ExactPoly, poly_parse
 from jetdiff.sampling import (
     random_coefficient_field,
@@ -27,6 +31,7 @@ from jetdiff.sampling import (
 )
 
 from conftest import triangular_slice_holds
+from test_linalg import PROPERTY, UNLUCKY_PRIME, matrices, planted_kernel_matrices
 
 X = ExactPoly.variable(XY, "x")
 Y = ExactPoly.variable(XY, "y")
@@ -195,6 +200,131 @@ class TestInjectivityTheorem:
             assert len(matrix.columns) == columns
             assert (matrix.rank() == row_echelon(list(matrix.row_entries), columns).rank
                     == expected)
+
+
+@pytest.fixture(scope="module")
+def criterion_04_cases():
+    """(surf, audit, m, a) of acceptance criterion 04: d = e in 2..4, a = d - 2."""
+    rng = random.Random(4004)
+    cases = []
+    for d in (2, 3, 4):
+        for index in range(5):
+            surf, audit = random_generic_surface(rng, d, d, audit_seed=4100 + 10 * d + index)
+            cases.extend((surf, audit, m, d - 2) for m in (1, 2))
+    return cases
+
+
+def spy_routes(monkeypatch) -> Counter:
+    """Count the analyses the cut proves ("cut") and the full matrices built ("full")."""
+    routes = Counter()
+    proof, build = linalg.full_column_rank, injectivity.jet_matrix
+
+    def cut_proof(rows, ncols):
+        proved = proof(rows, ncols)
+        routes["cut"] += proved
+        return proved
+
+    def matrix(surf, m, a, y_below=None):
+        routes["full"] += y_below is None
+        return build(surf, m, a, y_below)
+
+    monkeypatch.setattr(linalg, "full_column_rank", cut_proof)
+    monkeypatch.setattr(injectivity, "jet_matrix", matrix)
+    return routes
+
+
+class TestCutProof:
+    def test_cut_is_the_rows_of_y_degree_at_most_a(self, criterion_04_cases):
+        for surf, _, m, a in criterion_04_cases:
+            full = jet_matrix(surf, m, a)
+            cut = injectivity_matrix(surf, m, a, y_below=a + 1)
+            assert cut.columns == full.columns
+            assert cut.rows == tuple(e for e in full.rows if e[1] <= a)
+            entries = dict(zip(full.rows, full.row_entries))
+            for e, row in zip(cut.rows, cut.row_entries):
+                assert row == entries[e]
+            # and it proves every case of the criterion on its own
+            assert full_column_rank(list(cut.row_entries), len(cut.columns))
+
+    def test_a_cut_below_y_a_holds_the_unit_column_y_a_in_its_kernel(self, criterion_04_cases):
+        # A[t] = y^a has no jet term below y^a, so a + 1 is the smallest cut
+        for surf, _, m, a in criterion_04_cases:
+            low = injectivity_matrix(surf, m, a, y_below=a)
+            for t in index_tuples(m):
+                unit = [0] * len(low.columns)
+                unit[low.columns.index(t + (0, a))] = 1
+                assert not any(low.matvec(unit))
+            assert not full_column_rank(list(low.row_entries), len(low.columns))
+
+    def test_a_repeated_column_is_not_full_rank(self):
+        rows = [{0: 2, 1: 2, 2: 1}, {0: -1, 1: -1}, {2: 5}, {0: 3, 1: 3, 2: 4}]
+        assert not full_column_rank(rows, 3)
+        assert nullspace(rows, 3) == [[-1, 1, 0]]
+        # without the copy, the same rows have full column rank
+        assert full_column_rank([{j // 2: v for j, v in row.items() if j != 1}
+                                 for row in rows], 2)
+
+    @pytest.mark.parametrize("rows,ncols,kernel", UNLUCKY_PRIME)
+    def test_false_proves_nothing(self, rows, ncols, kernel):
+        # rank-deficient mod p, whatever the rank over Q
+        assert not full_column_rank(rows, ncols)
+        assert nullspace(rows, ncols) == kernel
+
+
+@PROPERTY
+@given(matrices() | planted_kernel_matrices())
+def test_full_column_rank_is_a_proof(matrix):
+    rows, ncols = matrix
+    if full_column_rank(rows, ncols):
+        assert nullspace(rows, ncols) == []
+        assert row_echelon(rows, ncols).rank == ncols
+
+
+class TestRoutes:
+    @staticmethod
+    def _reports(monkeypatch, analyses):
+        """Each analysis's report on the cut route, then with the cut proof refused."""
+        with monkeypatch.context() as patch:
+            routes = spy_routes(patch)
+            cut = [analysis().to_json_dict() for analysis in analyses]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "full_column_rank", lambda rows, ncols: False)
+            refused = spy_routes(patch)
+            full = [analysis().to_json_dict() for analysis in analyses]
+        assert refused["full"] == len(analyses)
+        return cut, full, routes
+
+    def test_generic_surfaces_report_the_same_on_both_routes(self, monkeypatch,
+                                                              criterion_04_cases):
+        analyses = [lambda surf=surf, audit=audit, m=m, a=a:
+                    analyze_injectivity(surf, m, a, audit=audit)
+                    for surf, audit, m, a in criterion_04_cases]
+        cut, full, routes = self._reports(monkeypatch, analyses)
+        assert cut == full
+        assert routes == Counter(cut=len(analyses), full=0)
+        assert all(report["verdict"] == "injective" for report in cut)
+
+    def test_forced_degenerate_surface_reports_the_same_on_both_routes(self, monkeypatch):
+        r = random_surface_pair(random.Random(79), 3, 3).r
+        degenerate = SurfacePair(r, r)
+        cut, full, routes = self._reports(
+            monkeypatch, [lambda: analyze_injectivity(degenerate, 1, 1, force=True)])
+        assert cut == full
+        # the cut fails on its own here, and the witness is the Bareiss-rank one
+        assert routes == Counter(cut=0, full=1)
+        assert cut[0]["rank"] == 9 and cut[0]["kernel_witness"] is not None
+
+    def test_benchmark_configuration_never_builds_the_full_matrix(self, capsys,
+                                                                  monkeypatch):
+        routes = spy_routes(monkeypatch)
+        kernels = []
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda *args: kernels.append(args) or [])
+        assert main(["verify", "--injectivity", "--d", "4", "--m", "2", "--surfaces", "2",
+                     "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert routes == Counter(cut=2, full=0)
+        assert kernels == []
 
 
 class TestRxSxProposition:

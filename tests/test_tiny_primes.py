@@ -21,12 +21,14 @@ import pytest
 
 import test_cli
 import test_genericity
+from test_injectivity import spy_routes
 from jetdiff import linalg, polyring
 from jetdiff.cli import main
 from jetdiff.genericity import FAIL, full_genericity_audit
 from jetdiff.jetbuilder import SurfacePair
 
 GOLDEN = test_cli.GOLDEN
+INJECTIVITY_GOLDEN = next(entry for entry in GOLDEN if "--injectivity" in entry[0])
 FAILING_AUDITS = test_genericity.TestFailingAuditReports.CASES
 
 # integer coefficients near 100 give kernel entries beyond the bound 63 of
@@ -67,6 +69,22 @@ def test_golden_report(capsys, monkeypatch, tmp_path, argv, code, digest):
     out_code, out = _run_cli(capsys, argv, surface)
     assert out_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("route", ["cut", "full"])
+def test_injectivity_report_on_each_route(capsys, monkeypatch, tmp_path, route):
+    # the golden verify --injectivity report, once proved on the cut rows and
+    # once with that proof refused, so that the full matrix's kernel decides
+    argv, code, digest = INJECTIVITY_GOLDEN
+    monkeypatch.delenv("JETDIFF_SEED", raising=False)
+    _patch_primes(monkeypatch)
+    if route == "full":
+        monkeypatch.setattr(linalg, "full_column_rank", lambda rows, ncols: False)
+    routes = spy_routes(monkeypatch)
+    out_code, out = _run_cli(capsys, argv, tmp_path / "unused.txt")
+    assert out_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert routes == Counter({route: 2})
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_AUDITS))
