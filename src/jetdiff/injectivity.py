@@ -8,7 +8,7 @@ divisibility system.
 The proof first builds only M's rows of y-degree <= a (the cut): the same
 entries on the same columns, formed below y^(a+1).  A subset of M's rows of
 full column rank forces M to full column rank, so when one elimination
-modulo the prime 2^61 - 1 finds as many pivots as columns
+modulo the first prime of `modular.PRIMES` finds as many pivots as columns
 (`linalg.full_column_rank`), the map is proved injective and the full matrix
 is never built.  a + 1 is the smallest cut that can work: for c <= a the
 unit field A[t] = y^c has no jet term below y^c, so its column in a cut below

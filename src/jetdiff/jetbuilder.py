@@ -300,15 +300,18 @@ class JetContext:
         """Sum of lift(A[t]) * jet_term_base(t) over the nonzero entries of field.
 
         lift maps an (x, y) coefficient into the target ring; by default it
-        renames the variables into the target.  A context with y_below forms
-        each product below y^c too.
+        renames the variables into the target.  Each lifted coefficient is
+        multiplied by x'^j y'^k first and then by the memoised U_p V_q, which
+        the associativity of the product allows, so no term base is formed.
+        A context with y_below forms each product below y^c too.
         """
         result = ExactPoly.zero(self.target)
-        for t, a_poly in field.items():
+        for (j, k, p, q), a_poly in field.items():
             if a_poly.is_zero():
                 continue
             image = a_poly.extend_to(self.target) if lift is None else lift(a_poly)
-            result = result + self._mul(image, self.jet_term_base(t, field.m))
+            image = self._mul(image, self._mul(self.xp_pow[j], self.yp_pow[k]))
+            result = result + self._mul(image, self.pq_base(p, q, field.m))
         return result
 
 

@@ -19,22 +19,25 @@ of their denominators; a product multiplies the numerators and the
 denominators.  Both then divide out the content, which costs nothing when
 the denominator is 1, as it is for integer surfaces.  One kernel forms
 every product.  A one-term operand only shifts the exponents of the other
-operand, one-to-one, so nothing is packed or merged.  Otherwise it packs
-every exponent tuple into one int, giving each variable a bit field of
-width ``(maxexp_a + maxexp_b).bit_length() + 1`` computed per call from
-the two operands' largest exponents in that variable, so no field can
-overflow.  ``mul_below`` runs the same kernel for a product truncated
-below degree k in one variable: the larger operand is sorted by its
-exponent there, and each term of the smaller one is paired only with the
-prefix that keeps the degree sum below k, so no dropped pair is formed.
+operand, one-to-one, so nothing is packed or merged.  Otherwise every
+exponent tuple becomes one mixed-radix key over the product's exponent
+box, the radix of each variable being the product's top exponent in it
+plus one, so no key sum carries.  The products are summed into a flat list
+over the box, and the nonzero slots are read back; only when the box
+exceeds 4*|a|*|b| + 64 slots (sparse operands of high degree) does a dict
+on the same keys hold the sums instead.  ``mul_below`` runs the same
+kernel for a product truncated below degree k in one variable, whose radix
+is then capped at k: the larger operand is sorted by its exponent there,
+and each term of the smaller one is paired only with the prefix that keeps
+the degree sum below k, so no dropped pair is formed.
 The univariate gcd first runs Euclid modulo the prime
-P = ``_GCD_PRIME`` when P divides neither leading coefficient, and returns
-1 when the gcd there has degree 0: a common factor over Q would keep its
-degree mod P (the proof is in ``gcd_univariate``).  Every other case runs
-a primitive remainder sequence on the integer numerators, so a gcd of
-degree >= 1 always comes from the exact route.  The resultant runs the
-subresultant remainder sequence over Z[t] on the integer numerators and
-divides by the scaling factor once at the end.  Its independent check,
+P = ``modular.PRIMES[0]`` when P divides neither leading coefficient, and
+returns 1 when the gcd there has degree 0: a common factor over Q would
+keep its degree mod P (the proof is in ``gcd_univariate``).  Every other
+case runs a primitive remainder sequence on the integer numerators, so a
+gcd of degree >= 1 always comes from the exact route.  The resultant runs
+the subresultant remainder sequence over Z[t] on the integer numerators
+and divides by the scaling factor once at the end.  Its independent check,
 the Sylvester determinant by fraction-free elimination with exact
 polynomial division, is a test oracle in ``tests/test_polyring.py`` and is
 not part of this module.
@@ -59,9 +62,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import compress, product
+from math import gcd, isqrt, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
+
+from . import modular
 
 
 class _NegInfinity:
@@ -321,10 +327,12 @@ class ExactPoly:
         """self * other, or with below = (i, k) its terms of degree < k in variable i.
 
         The one multiplication kernel.  A one-term operand shifts the other
-        one; otherwise both are packed and every pair is formed, except that
-        with a bound the larger operand is sorted by its exponent in
-        variable i and each term of the smaller one meets only the prefix
-        whose exponents keep the sum below k.
+        one; otherwise the exponents become mixed-radix keys and every pair
+        is formed, except that with a bound the larger operand is sorted by
+        its exponent in variable i and each term of the smaller one meets
+        only the prefix whose exponents keep the sum below k.  The pairs
+        are summed in a list over the exponent box, or in a dict when the
+        box has more than 4*|a|*|b| + 64 slots.
         """
         if len(self.num) > len(other.num):
             a, b = other.num, self.num
@@ -344,34 +352,49 @@ class ExactPoly:
                 num = {tuple(map(add, exps, exps_a)): n * num_a
                        for exps, n in b.items() if exps[i] < top}
             return ExactPoly._from_ints(self.vars, num, den)
-        # one bit field per variable, wide enough for the largest exponent
-        # the product can reach in it plus a spare bit, so no field overflows
-        fields = []
-        shift = 0
-        for top_a, top_b in zip(map(max, zip(*a)), map(max, zip(*b))):
-            width = (top_a + top_b).bit_length() + 1
-            fields.append((shift, (1 << width) - 1))
-            shift += width
-        # the packed monomial of exps is sum(exps[v] << shift_v)
-        weights = [1 << s for s, _ in fields]
+        # mixed-radix keys over the product's exponent box: the radix of a
+        # variable is the product's top exponent in it plus one (capped at k
+        # for the bounded variable), so a sum of two keys never carries
+        radices = [top_a + top_b + 1
+                   for top_a, top_b in zip(map(max, zip(*a)), map(max, zip(*b)))]
         b_terms = b.items()
         if below is not None:
             i, k = below
+            radices[i] = min(radices[i], max(k, 1))
             b_terms = sorted(b_terms, key=lambda term: term[0][i])
             b_degrees = [exps[i] for exps, _ in b_terms]
+        weights = [prod(radices[v + 1:]) for v in range(len(radices))]
         packed_b = [(sum(map(mul, exps, weights)), num) for exps, num in b_terms]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for exps, num_a in a.items():
-            key_a = sum(map(mul, exps, weights))
-            pairs = (packed_b if below is None
-                     else packed_b[:bisect_left(b_degrees, k - exps[i])])
+        rows = ((sum(map(mul, exps, weights)), num_a,
+                 packed_b if below is None else packed_b[:bisect_left(b_degrees, k - exps[i])])
+                for exps, num_a in a.items())
+        box = weights[0] * radices[0]
+        if box > 4 * len(a) * len(b) + 64:
+            # sparse operands of high degree: a dict holds only the keys met
+            acc: dict[int, int] = {}
+            get = acc.get
+            for key_a, num_a, pairs in rows:
+                for key_b, num_b in pairs:
+                    key = key_a + key_b
+                    acc[key] = get(key, 0) + num_a * num_b
+            return ExactPoly._from_ints(self.vars, {
+                tuple([key // w % r for w, r in zip(weights, radices)]): num
+                for key, num in acc.items() if num}, den)
+        dense = [0] * box
+        for key_a, num_a, pairs in rows:
             for key_b, num_b in pairs:
-                key = key_a + key_b
-                acc[key] = get(key, 0) + num_a * num_b
-        return ExactPoly._from_ints(self.vars, {
-            tuple([(key >> s) & mask for s, mask in fields]): num
-            for key, num in acc.items() if num}, den)
+                dense[key_a + key_b] += num_a * num_b
+        # a key is split into the exponents of the first half of the
+        # variables and of the rest, each read from a table of its sub-box
+        half = (len(radices) + 1) // 2
+        split = prod(radices[half:])
+        high = list(product(*map(range, radices[:half])))
+        low = list(product(*map(range, radices[half:])))
+        num = {}
+        for key in compress(range(box), dense):
+            hi, lo = divmod(key, split)
+            num[high[hi] + low[lo]] = dense[key]
+        return ExactPoly._from_ints(self.vars, num, den)
 
     def scale(self, value: Fraction | int) -> "ExactPoly":
         if not isinstance(value, (int, Fraction)):
@@ -998,28 +1021,25 @@ def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
     return _primitive(r) if r else r
 
 
-# a prime below 2^30, so every residue is a one-digit CPython int
-_GCD_PRIME = 1073741789
-
-
 def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a mod P, b mod P) for P = _GCD_PRIME, by Euclid over F_P.
+    """Degree of gcd(a mod P, b mod P) for P = modular.PRIMES[0], by Euclid over F_P.
 
     a and b are integer coefficient lists whose leading coefficients P does
     not divide.  Each step makes the divisor monic.
     """
-    a = [c % _GCD_PRIME for c in a]
-    b = [c % _GCD_PRIME for c in b]
+    prime = modular.PRIMES[0]
+    a = [c % prime for c in a]
+    b = [c % prime for c in b]
     while b:
-        inv = pow(b[-1], -1, _GCD_PRIME)
-        b = [c * inv % _GCD_PRIME for c in b]
+        inv = pow(b[-1], -1, prime)
+        b = [c * inv % prime for c in b]
         db = len(b) - 1
         while len(a) > db:
             lead = a.pop()
             if lead:
                 # a -= lead * x^shift * b; the popped leading term cancels exactly
                 shift = len(a) - db
-                a[shift:] = [(c - lead * m) % _GCD_PRIME for c, m in zip(a[shift:], b)]
+                a[shift:] = [(c - lead * m) % prime for c, m in zip(a[shift:], b)]
         while a and not a[-1]:
             a.pop()
         a, b = b, a
@@ -1029,8 +1049,8 @@ def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
 def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     """Monic gcd of two effectively-univariate polynomials (not both zero).
 
-    A coprime pair is first tried modulo the prime P = _GCD_PRIME, and the
-    test is one-sided: it may only prove that the gcd is 1.  Let a, b be the
+    A coprime pair is first tried modulo the prime P = modular.PRIMES[0],
+    and the test is one-sided: it may only prove that the gcd is 1.  Let a, b be the
     primitive integer coefficient lists, both nonzero, with P dividing
     neither leading coefficient.  Suppose the gcd over Q has degree >= 1.
     By Gauss's lemma its primitive form g lies in Z[x] and divides a and b
@@ -1054,8 +1074,8 @@ def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
 def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     """The gcd of primitive integer lists a, b (not both []), primitive with a
     positive lead: 1 when proved mod P, else by the PRS (see gcd_univariate)."""
-    if (a and b and a[-1] % _GCD_PRIME and b[-1] % _GCD_PRIME
-            and _gcd_degree_mod_p(a, b) == 0):
+    prime = modular.PRIMES[0]
+    if a and b and a[-1] % prime and b[-1] % prime and _gcd_degree_mod_p(a, b) == 0:
         return [1]
     while b:
         a, b = b, _primitive_prem(a, b)

@@ -1,20 +1,22 @@
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetdiff import linalg
+from jetdiff import linalg, modular
 from jetdiff.divisibility import shift_matrix
 from jetdiff.injectivity import injectivity_matrix
 from jetdiff.jetbuilder import JET_VARS, XY
 from jetdiff.linalg import matvec, nullspace, rank, row_echelon
+from jetdiff.modular import rational_reconstruction
 from jetdiff.polyring import ExactPoly
 from jetdiff.sampling import random_generic_surface
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
-P = linalg._PRIME
+P = modular.PRIMES[0]
 BOUND = isqrt(P // 2)
 
 
@@ -191,7 +193,7 @@ def _int_rows(rows):
 
 
 def modp_rank(rows, ncols):
-    return len(linalg._echelon_mod_p(_int_rows(rows), ncols))
+    return len(linalg._echelon_mod_p(_int_rows(rows), ncols, P))
 
 
 @PROPERTY
@@ -203,16 +205,22 @@ def test_nullspace_equals_exact_route(matrix):
     basis = nullspace(rows, ncols)
     assert basis == exact
     assert all(type(v) is Fraction for vec in basis for v in vec)
-    # the modular route proves the basis exactly when it can: the pivot
-    # columns agree mod p and every entry reconstructs within the bound
-    modular = linalg._modular_nullspace(int_rows, ncols)
-    provable = (set(linalg._echelon_mod_p(int_rows, ncols))
+    # the modular route proves every such basis: the only unlucky prime
+    # these matrices meet is the first one, and the entries are far below
+    # the product of the first few primes
+    assert linalg._modular_nullspace(rows, ncols)[1] == exact
+    # with the first prime alone it proves the basis exactly when it can:
+    # the pivot columns agree mod p and every entry reconstructs within the
+    # bound of p
+    with patch.object(modular, "PRIMES", modular.PRIMES[:1]):
+        one_prime = linalg._modular_nullspace(rows, ncols)[1]
+    provable = (set(linalg._echelon_mod_p(int_rows, ncols, P))
                 == set(row_echelon(int_rows, ncols).pivot_cols)
                 and all(abs(v.numerator) <= BOUND and v.denominator <= BOUND
                         for vec in exact for v in vec))
-    assert (modular is not None) == provable
-    if modular is not None:
-        assert modular == exact
+    assert (one_prime is not None) == provable
+    if one_prime is not None:
+        assert one_prime == exact
 
 
 @PROPERTY
@@ -238,13 +246,61 @@ def spy_row_echelon(monkeypatch):
     return calls
 
 
-def test_kernel_entry_beyond_the_bound_falls_back(monkeypatch):
-    # 2^40 + 1 = (2^21 + 1) / 2^21 mod p reconstructs within the bound, so
-    # only the exact matvec rejects the modular vector
-    assert linalg._rational_reconstruction((2**40 + 1) % P, BOUND) == (2**21 + 1, 2**21)
+def spy_primes(monkeypatch):
+    """Record the prime of every elimination mod p; the eliminations still run."""
+    primes = []
+    eliminate = linalg._echelon_mod_p
+
+    def spy(rows, ncols, prime):
+        primes.append(prime)
+        return eliminate(rows, ncols, prime)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_p", spy)
+    return primes
+
+
+def test_kernel_entry_beyond_one_prime_is_proved_by_crt(monkeypatch):
+    # 2^40 + 1 lies beyond the bound of one prime and of two, but within
+    # that of three: the vector is proved by CRT, never by Bareiss
+    calls = spy_row_echelon(monkeypatch)
+    primes = spy_primes(monkeypatch)
+    assert nullspace([{0: F(1), 1: F(-(2**40 + 1))}], 2) == [[2**40 + 1, 1]]
+    assert primes == list(modular.PRIMES[:3])
+    assert calls == []
+
+
+def test_kernel_entry_beyond_the_only_prime_falls_back(monkeypatch):
+    # 2^40 + 1 has no reconstruction within the bound of p, so with one
+    # prime Bareiss elimination decides
+    assert rational_reconstruction((2**40 + 1) % P, P, BOUND) is None
+    monkeypatch.setattr(modular, "PRIMES", modular.PRIMES[:1])
     calls = spy_row_echelon(monkeypatch)
     assert nullspace([{0: F(1), 1: F(-(2**40 + 1))}], 2) == [[2**40 + 1, 1]]
     assert calls == [2]
+
+
+def test_planted_kernel_beyond_one_prime(monkeypatch):
+    # 40 columns, the last eight rational combinations of the others with
+    # numerators and denominators beyond 2^15, so beyond the bound of one
+    # prime: two primes prove the kernel
+    rng = random.Random(40)
+    nrows, ncols, free = 36, 40, 8
+    columns = [[F(rng.randint(-9, 9)) for _ in range(nrows)] for _ in range(ncols - free)]
+    expected = []
+    for f in range(ncols - free, ncols):
+        a, b = rng.sample(range(ncols - free), 2)
+        u = F(rng.randint(2**15, 2**20), rng.randint(2**15, 2**20))
+        v = F(rng.randint(2**15, 2**20))
+        columns.append([u * x + v * y for x, y in zip(columns[a], columns[b])])
+        vec = [F(0)] * ncols
+        vec[f], vec[a], vec[b] = F(1), -u, -v
+        expected.append(vec)
+    rows = [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(nrows)]
+    calls = spy_row_echelon(monkeypatch)
+    primes = spy_primes(monkeypatch)
+    assert nullspace(rows, ncols) == expected
+    assert primes == list(modular.PRIMES[:2])
+    assert calls == []
 
 
 @pytest.mark.parametrize("ncols", [2, 63, 64, 65, 70])
@@ -306,8 +362,20 @@ UNLUCKY_PRIME = [
 
 
 @pytest.mark.parametrize("rows,ncols,kernel", UNLUCKY_PRIME)
+def test_unlucky_prime_is_proved_by_the_next_prime(monkeypatch, rows, ncols, kernel):
+    calls = spy_row_echelon(monkeypatch)
+    primes = spy_primes(monkeypatch)
+    assert nullspace(rows, ncols) == kernel
+    assert rank(rows, ncols) == ncols - len(kernel)
+    assert primes == list(modular.PRIMES[:2]) * 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows,ncols,kernel", UNLUCKY_PRIME)
 def test_unlucky_prime_falls_back_to_exact(monkeypatch, rows, ncols, kernel):
+    # with the first prime alone, Bareiss elimination decides
     assert modp_rank(rows, ncols) < ncols
+    monkeypatch.setattr(modular, "PRIMES", modular.PRIMES[:1])
     calls = spy_row_echelon(monkeypatch)
     assert nullspace(rows, ncols) == kernel
     assert calls == [ncols]

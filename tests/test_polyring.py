@@ -1,13 +1,14 @@
+import itertools
 import time
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, prod
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jetdiff import polyring
+from jetdiff import modular, polyring
 from jetdiff.jetbuilder import JET_VARS, XY
 from jetdiff.polyring import (
     MAX_COEFF_BITS,
@@ -183,7 +184,7 @@ def rationals(max_den=12):
     return st.builds(Fraction, st.integers(-30, 30), st.integers(1, max_den))
 
 
-# exponents on both sides of powers of two, where the packed field width changes
+# small exponents, and some up to 64 that spread a product's exponent box
 EXPONENTS = st.integers(0, 9) | st.sampled_from([15, 16, 17, 31, 32, 33, 63, 64])
 
 
@@ -200,6 +201,35 @@ def one_terms(vars):
     """One-term polynomials whose coefficient is a rational other than 0 and +-1."""
     return st.builds(ExactPoly.monomial, st.just(vars), st.tuples(*[EXPONENTS] * len(vars)),
                      rationals().filter(lambda c: abs(c) != 1 and c))
+
+
+@st.composite
+def dense_polys(draw, vars):
+    """Every monomial of total degree <= n (n <= 3) with a nonzero coefficient."""
+    degree = draw(st.integers(1, 3))
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=len(vars))
+                 if sum(e) <= degree]
+    return ExactPoly(vars, {e: draw(rationals().filter(bool)) for e in monomials})
+
+
+@st.composite
+def spread_polys(draw, vars):
+    """Two or three terms with exponents up to 100, one with x^50 or more."""
+    exponents = st.tuples(*[st.integers(0, 100)] * len(vars))
+    top = (draw(st.integers(50, 100)),) + draw(exponents)[1:]
+    terms = draw(st.dictionaries(exponents.filter(lambda e: e != top), rationals().filter(bool),
+                                 min_size=1, max_size=2))
+    terms[top] = draw(rationals().filter(bool))
+    return ExactPoly(vars, terms)
+
+
+def product_box(p, q, k=None):
+    """The slots of the exponent box of p * q, or of its terms below y^k."""
+    radices = [max(e[v] for e in p.num) + max(e[v] for e in q.num) + 1
+               for v in range(len(p.vars))]
+    if k is not None:
+        radices[1] = min(radices[1], max(k, 1))
+    return prod(radices)
 
 
 # nonzero bivariate polynomials of degree at most 3 in x and 7 in y; at most
@@ -411,6 +441,26 @@ class TestRingOps:
             assert expected.is_zero()
         if all(e[1] < k for e in product.num):
             assert expected == product
+
+    @PROPERTY
+    @given(st.sampled_from([XY, JET_VARS]).flatmap(
+        lambda vars: st.tuples(st.just("list"), dense_polys(vars), dense_polys(vars))
+        | st.tuples(st.just("dict"), spread_polys(vars), spread_polys(vars))),
+        st.integers(0, 8) | st.integers(0, 201))
+    def test_product_matches_reference_on_both_accumulators(self, operands, k):
+        # a product sums into a list over its exponent box unless the box has
+        # more than 4*|a|*|b| + 64 slots; no workload product reaches the
+        # dict, so both sides are drawn here, with and without a y-cut
+        side, p, q = operands
+        limit = 4 * len(p.num) * len(q.num) + 64
+        assert (product_box(p, q) <= limit) == (side == "list")
+        assert (product_box(p, q, k) <= limit) == (side == "list")
+        expected = reference_mul(p, q)
+        low = ExactPoly(p.vars, {e: c for e, c in expected.terms.items() if e[1] < k})
+        assert p * q == q * p == expected
+        assert mul_below(p, q, "y", k) == mul_below(q, p, "y", k) == low
+        assert_canonical(p * q)
+        assert_canonical(mul_below(p, q, "y", k))
 
     @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1), (1, 1.0)])
     def test_shift_rejects_bad_exponents(self, exps):
@@ -799,7 +849,7 @@ class TestUnivariate:
         assert rational_roots(poly_parse(text, XY)) == roots
 
 
-P = polyring._GCD_PRIME
+P = modular.PRIMES[0]
 
 
 def spy_gcd_routes(monkeypatch):

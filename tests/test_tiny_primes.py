@@ -1,15 +1,16 @@
 """The golden reports, rerun with tiny primes in every modular fast path.
 
 Each fast path is one-sided: an unlucky prime may only send a computation
-to its exact route, never change a result.  With the gcd prime 7 and the
-kernel prime 8191, many modular proofs fail, so the golden CLI reports and
-the failing-audit reports must keep their digests through the exact routes.
+to its exact route, never change a result.  With `modular.PRIMES` patched
+to 7, 11 and 13 (the gcd runs modulo 7, the kernels modulo all three, joined
+by CRT), many modular proofs fail, so the golden CLI reports and the
+failing-audit reports must keep their digests through the exact routes.
 Call counters show that those routes are reached.
 
 Tests that assert which route runs, not what it returns, stay outside this
 harness: `TestModularGcd` and its `UNLUCKY_PRIME` table in test_polyring.py,
-the `UNLUCKY_PRIME` table and `test_kernel_entry_beyond_the_bound_falls_back`
-in test_linalg.py, and the d = 8 audit spy
+the `UNLUCKY_PRIME` table and the kernel-entry and planted-kernel tests in
+test_linalg.py, and the d = 8 audit spy
 `TestModularGcdRoute::test_passing_dense_audit_never_runs_the_prs`.
 """
 
@@ -22,7 +23,7 @@ import pytest
 import test_cli
 import test_genericity
 from test_injectivity import spy_routes
-from jetdiff import linalg, polyring
+from jetdiff import linalg, modular, polyring
 from jetdiff.cli import main
 from jetdiff.genericity import FAIL, full_genericity_audit
 from jetdiff.jetbuilder import SurfacePair
@@ -31,16 +32,19 @@ GOLDEN = test_cli.GOLDEN
 INJECTIVITY_GOLDEN = next(entry for entry in GOLDEN if "--injectivity" in entry[0])
 FAILING_AUDITS = test_genericity.TestFailingAuditReports.CASES
 
-# integer coefficients near 100 give kernel entries beyond the bound 63 of
-# p = 8191, so this solve's kernel reaches Bareiss elimination
+# the primes of every tiny-prime run: the gcd runs modulo 7, and a kernel
+# entry beyond isqrt(1001 // 2) = 22 sends its kernel to Bareiss elimination
+TINY_PRIMES = (7, 11, 13)
+
+# integer coefficients near 100 give kernel entries up to 194, so this
+# solve's kernel reaches Bareiss elimination
 KERNEL_SURFACE = "R = 97*x^2 + 89*y^2 + 83*x + 1\nS = 91*x^3 + 87*y^3 + 7*x*y + 2\n"
 KERNEL_SOLVE = ["solve", "--surface", "{surface}", "--m", "1", "--c", "4", "--a", "2",
                 "--force"]
 
 
 def _patch_primes(monkeypatch):
-    monkeypatch.setattr(polyring, "_GCD_PRIME", 7)
-    monkeypatch.setattr(linalg, "_PRIME", 8191)
+    monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
 
 
 def _count_exact_routes(monkeypatch) -> Counter:
