@@ -46,12 +46,7 @@ from .genericity import (
     CheckResult,
     GenericityReport,
     IntersectionReport,
-    axis_ox_disposition_check,
-    curve_smooth_check,
     full_genericity_audit,
-    infinity_disposition_check,
-    line_y0_disposition_check,
-    no_triple_check,
     pair_transversality_check,
     shear,
 )

@@ -124,15 +124,16 @@ def solution_dimension(surf: SurfacePair, spec: JetSpec) -> int:
     return len(system.columns) - system.rank()
 
 
-def vector_to_field(spec: JetSpec, vector: list[Fraction]) -> CoefficientField:
-    """Reinterpret a solution vector as a coefficient field."""
-    labels = unknown_labels(spec)
+def vector_to_field(spec: JetSpec, vector: list[Fraction],
+                    labels: Sequence[ColumnLabel]) -> CoefficientField:
+    """Reinterpret a solution vector, whose columns are labels (in the order
+    of `unknown_labels(spec)`), as a coefficient field."""
     if len(vector) != len(labels):
         raise ValueError(f"vector length {len(vector)} != {len(labels)} unknowns")
     builders: dict[tuple[int, int, int, int], dict[tuple[int, int], Fraction]] = {}
     for (j, k, p, q, h, i), value in zip(labels, vector):
         if value:
-            builders.setdefault((j, k, p, q), {})[(h, i)] = Fraction(value)
+            builders.setdefault((j, k, p, q), {})[(h, i)] = value
     entries = {t: ExactPoly(XY, terms) for t, terms in builders.items()}
     return CoefficientField(spec.m, entries)
 
@@ -171,11 +172,13 @@ class SectionContexts:
     `charts` the transferred side in each chart at infinity (only built when
     spec is holomorphic at infinity).  The J and the expansion routes share
     no cache, so their agreement stays an independent check.  `infinity` is
-    the exponent audit, which depends on spec alone.
+    the exponent audit and `labels` the unknowns in column order, which
+    both depend on spec alone.
     """
 
     def __init__(self, surf: SurfacePair, spec: JetSpec):
         self.infinity = verify_infinity_exponents(spec)
+        self.labels = unknown_labels(spec)
         self.jet = JetContext(surf)
         self.terms = LambdaTerms(surf)
         self.surface = surface_context(surf)
@@ -195,7 +198,7 @@ def build_section(surf: SurfacePair, spec: JetSpec, vector: list[Fraction],
     """
     if contexts is None:
         contexts = SectionContexts(surf, spec)
-    field = vector_to_field(spec, vector)
+    field = vector_to_field(spec, vector, contexts.labels)
     expansion = expand_lambda(field, surf, spec, contexts.terms)
     for (alpha, beta), poly in sorted(expansion.entries.items()):
         _, exact = monomial_quotient(poly, "y", spec.c)

@@ -262,8 +262,7 @@ def _verify_affine_point_candidates(g: ExactPoly, system: list[ExactPoly]) -> st
     """
     for x0 in rational_roots(g):
         x0_poly = ExactPoly.const(XY, x0)
-        specialised = [poly_substitute(p, {"x": x0_poly, "y": ExactPoly.variable(XY, "y")})
-                       for p in system]
+        specialised = [poly_substitute(p, {"x": x0_poly}) for p in system]
         if not _gcd_fold(specialised).is_constant():
             return f"common point over x = {x0}"
     return None
@@ -314,11 +313,6 @@ def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED, *,
     return INCONCLUSIVE, f"unseparated singular-point candidates {last_witness}"
 
 
-def curve_smooth_check(p: ExactPoly, seed: int = DEFAULT_SEED) -> bool:
-    """True iff the plane curve p = 0 is certified smooth, affinely and at infinity."""
-    return _curve_smooth_verdict(p, seed)[0] == PASS
-
-
 # -- triple points ------------------------------------------------------------
 
 def _triple_verdicts(curves: dict[str, ExactPoly], seed: int, *,
@@ -360,16 +354,6 @@ def _triple_verdicts(curves: dict[str, ExactPoly], seed: int, *,
     return verdicts
 
 
-def no_triple_check(p: ExactPoly, q: ExactPoly, r: ExactPoly,
-                    seed: int = DEFAULT_SEED) -> bool:
-    """True iff the three curves are certified to have empty common intersection."""
-    curves = {"p": p, "q": q, "r": r}
-    for label, poly in curves.items():
-        if poly.is_zero() or poly.is_constant():
-            raise ValueError(f"{label} must be a non-constant polynomial")
-    return _triple_verdicts(curves, seed)["p", "q", "r"][0] == PASS
-
-
 # -- line and infinity dispositions -------------------------------------------
 
 def _on_axis(p: ExactPoly) -> ExactPoly:
@@ -391,21 +375,11 @@ def _line_y0_verdict(surf: SurfacePair) -> tuple[str, str | None]:
     return PASS, None
 
 
-def line_y0_disposition_check(surf: SurfacePair) -> bool:
-    """True iff y = 0 meets both curves simply, away from all partial-derivative zeros."""
-    return _line_y0_verdict(surf)[0] == PASS
-
-
 def _axis_ox_verdict(surf: SurfacePair) -> tuple[str, str | None]:
     g = gcd_univariate(_on_axis(surf.r), _on_axis(surf.s))
     if g.is_constant():
         return PASS, None
     return FAIL, f"common curve point on the axis: gcd {g}"
-
-
-def axis_ox_disposition_check(surf: SurfacePair) -> bool:
-    """True iff no intersection point of R = 0 and S = 0 lies on the axis y = 0."""
-    return _axis_ox_verdict(surf)[0] == PASS
 
 
 def _infinity_verdict(surf: SurfacePair) -> tuple[str, str | None]:
@@ -419,11 +393,6 @@ def _infinity_verdict(surf: SurfacePair) -> tuple[str, str | None]:
     if _binary_forms_common_root([top_r, top_s]):
         return FAIL, "leading forms share a projective root (intersection at infinity)"
     return PASS, None
-
-
-def infinity_disposition_check(surf: SurfacePair) -> bool:
-    """True iff all R-S intersections are affine and both curves meet infinity simply."""
-    return _infinity_verdict(surf)[0] == PASS
 
 
 # -- the full audit -----------------------------------------------------------

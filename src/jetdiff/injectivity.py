@@ -44,8 +44,8 @@ def injectivity_matrix(surf: SurfacePair, m: int, a: int,
                        y_below: int | None = None) -> linalg.SparseMatrix:
     """The matrix of A -> J in the canonical bases, `divisibility.jet_matrix`.
 
-    Columns are the unknowns (j,k,p,q,h,i) in the order in which
-    `vector_to_field` reads a kernel vector back; rows the realised
+    Columns are the unknowns (j,k,p,q,h,i) in the order of
+    `divisibility.unknown_labels`; rows the realised
     monomials of the jet polynomial in (x, y, x', y'), graded-lex.  With
     y_below, passed on to `jet_matrix`, only the rows of y-degree below it
     are built, with the same entries and all the columns: `analyze_injectivity`
@@ -108,7 +108,8 @@ def analyze_injectivity(surf: SurfacePair, m: int, a: int,
                                  hypotheses_verified=verified, kernel_witness=None)
     matrix = injectivity_matrix(surf, m, a)
     kernel = matrix.kernel()
-    witness = vector_to_field(JetSpec(m=m, c=0, a=a), kernel[0]) if kernel else None
+    witness = (vector_to_field(JetSpec(m=m, c=0, a=a), kernel[0], matrix.columns)
+               if kernel else None)
     return InjectivityResult(columns=len(matrix.columns),
                              rank=len(matrix.columns) - len(kernel),
                              injective=not kernel, hypotheses_verified=verified,

@@ -23,7 +23,6 @@ is a standing self-check of the reindexation bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import comb
 from operator import mul
@@ -167,15 +166,6 @@ class CoefficientField:
     def degree_cap_ok(self, a: int) -> bool:
         return all(p.total_degree() <= a for p in self.entries.values() if not p.is_zero())
 
-    def __add__(self, other: "CoefficientField") -> "CoefficientField":
-        if self.m != other.m:
-            raise ValueError("jet order mismatch")
-        return CoefficientField(self.m, {t: p + other.entries[t]
-                                         for t, p in self.entries.items()})
-
-    def scale(self, value: Fraction | int) -> "CoefficientField":
-        return CoefficientField(self.m, {t: p.scale(value) for t, p in self.entries.items()})
-
     def to_json_dict(self) -> dict[str, str]:
         return {",".join(map(str, t)): str(p) for t, p in self.items()}
 
@@ -215,15 +205,6 @@ class LambdaExpansion:
         for (alpha, beta), coeff in sorted(self.entries.items()):
             result = result + coeff.extend_to(JET_VARS) * xp ** alpha * yp ** beta
         return result
-
-    def __add__(self, other: "LambdaExpansion") -> "LambdaExpansion":
-        if self.m != other.m:
-            raise ValueError("jet order mismatch")
-        return LambdaExpansion(self.m, {ab: p + other.entries[ab]
-                                        for ab, p in self.entries.items()})
-
-    def scale(self, value: Fraction | int) -> "LambdaExpansion":
-        return LambdaExpansion(self.m, {ab: p.scale(value) for ab, p in self.entries.items()})
 
 
 class JetContext:

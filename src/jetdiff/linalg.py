@@ -387,10 +387,6 @@ class SparseMatrix:
     rows: tuple
     row_entries: tuple[SparseRow, ...]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.columns)
-
     def matvec(self, vector: list[Fraction]) -> list[Fraction]:
         return matvec(list(self.row_entries), vector)
 

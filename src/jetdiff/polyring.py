@@ -249,10 +249,6 @@ class ExactPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.num)
 
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial (0 if absent)."""
-        return self.coefficient((0,) * len(self.vars))
-
     def total_degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.num:

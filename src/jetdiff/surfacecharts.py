@@ -16,8 +16,9 @@ polynomial equalities with denominators cleared by cross-multiplication
 
 * exponent bookkeeping: the residual chart exponent
   a - (h+i) + 2m - (2j+2k+p+q) is non-negative on the whole admissible
-  index grid, and the global prefactor exponent c-a-4m decides holomorphy
-  (>= 0) and vanishing (>= 1) along the hyperplane at infinity.
+  index grid (a closed-form fact, not a check), so the global prefactor
+  exponent c-a-4m decides holomorphy (>= 0) and vanishing (>= 1) along
+  the hyperplane at infinity.
 """
 
 from __future__ import annotations
@@ -156,20 +157,19 @@ def verify_derivative_transfer(r: ExactPoly, d: int, chart: str) -> bool:
 
 @dataclass(frozen=True)
 class InfinityExponentReport:
-    """Exactness of the chart exponent bookkeeping for one parameter choice.
+    """The chart exponent bookkeeping for one parameter choice.
 
-    residuals_ok and residual_min cover the per-index exponents over the
-    whole grid; they are always True and 0.  The prefactor exponent c-a-4m
-    decides holomorphy and vanishing along the hyperplane at infinity.
-    witness is an index tuple (j,k,p,q,h,i) whose total chart exponent is
-    negative, present exactly when the boxed bound a <= c-4m fails.
+    Every per-index residual is >= 0 and the least is 0 (see
+    `verify_infinity_exponents`), so the prefactor exponent c-a-4m alone
+    decides holomorphy (>= 0) and vanishing (>= 1) along the hyperplane at
+    infinity, and passed is holomorphic_at_infinity.  witness is an index
+    tuple (j,k,p,q,h,i) whose total chart exponent is negative, present
+    exactly when the boxed bound a <= c-4m fails.
     """
 
     m: int
     c: int
     a: int
-    residuals_ok: bool
-    residual_min: int
     prefactor_exponent: int
     holomorphic_at_infinity: bool
     vanishes_at_infinity: bool
@@ -177,20 +177,20 @@ class InfinityExponentReport:
 
     @property
     def passed(self) -> bool:
-        return self.residuals_ok and self.holomorphic_at_infinity
+        return self.holomorphic_at_infinity
 
 
 def verify_infinity_exponents(spec: JetSpec) -> InfinityExponentReport:
     """The chart exponents over the admissible index grid, in closed form.
 
     Each residual a - (h+i) + 2m - (2j+2k+p+q) is >= 0, as h + i <= a and
-    2j+2k+p+q = m+j+k <= 2m, and is 0 at (m,0,0,0,a,0).  So the least
-    total exponent is c-a-4m, and when it is negative that index is a witness.
+    2j+2k+p+q = m+j+k <= 2m, and is 0 at (m,0,0,0,a,0).  So no residual
+    needs checking, the least total exponent is c-a-4m, and when it is
+    negative that index is a witness.
     """
     margin = spec.infinity_margin
     return InfinityExponentReport(
         m=spec.m, c=spec.c, a=spec.a,
-        residuals_ok=True, residual_min=0,
         prefactor_exponent=margin,
         holomorphic_at_infinity=spec.holomorphic_at_infinity,
         vanishes_at_infinity=margin >= 1,

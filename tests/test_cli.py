@@ -7,6 +7,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from jetdiff import divisibility
 from jetdiff.cli import load_surface_file, main
 from jetdiff.counting import dof
 from jetdiff.divisibility import assemble_divisibility_system
@@ -214,6 +215,18 @@ class TestSolve:
                                       "--c", "5", "--a", "5", "--force"])
         assert code == 0 and body["certificates"]
         assert [cert for cert in body["certificates"] if cert["J"] == "0"] == []
+
+    @pytest.mark.parametrize("c,a,dimension", [(1, 0, 0), (2, 2, 4), (0, 1, 12)])
+    def test_labels_are_formed_once_per_solve(self, capsys, monkeypatch, generic_surface_file,
+                                              c, a, dimension):
+        calls = []
+        unknown_labels = divisibility.unknown_labels
+        monkeypatch.setattr(divisibility, "unknown_labels",
+                            lambda spec: calls.append(spec) or unknown_labels(spec))
+        code, body = run_cli(capsys, ["solve", "--surface", generic_surface_file, "--m", "1",
+                                      "--c", str(c), "--a", str(a), "--force"])
+        assert code == 0 and len(body["certificates"]) == dimension
+        assert calls == [JetSpec(m=1, c=c, a=a)]
 
     def test_require_infinity_violation(self, capsys, generic_surface_file):
         code, body = run_cli(capsys, ["solve", "--surface", generic_surface_file,

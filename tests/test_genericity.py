@@ -16,12 +16,7 @@ from jetdiff.genericity import (
     INCONCLUSIVE,
     PASS,
     SIX_CURVE_NAMES,
-    axis_ox_disposition_check,
-    curve_smooth_check,
     full_genericity_audit,
-    infinity_disposition_check,
-    line_y0_disposition_check,
-    no_triple_check,
     pair_transversality_check,
     shear,
 )
@@ -58,8 +53,6 @@ class TestShear:
         from conftest import random_poly
         for _ in range(10):
             p = random_poly(rng, 4)
-            if p.is_zero():
-                continue
             assert shear(p, Fraction(3, 5)).total_degree() == p.total_degree()
 
 
@@ -119,11 +112,12 @@ class TestPairTransversality:
 
     def test_bezout_consistency(self):
         rng = random.Random(77)
-        for _ in range(4):
-            surf = random_surface_pair(rng, 2, 3)
-            report = pair_transversality_check(surf.r, surf.s)
-            if report.passed:
-                assert report.resultant_degree == surf.d * surf.e
+        surfaces = [random_surface_pair(rng, 2, 3) for _ in range(4)]
+        reports = [pair_transversality_check(surf.r, surf.s) for surf in surfaces]
+        # every case passes, so the Bezout count is checked on all four
+        assert sum(report.passed for report in reports) == 4
+        for surf, report in zip(surfaces, reports):
+            assert report.resultant_degree == surf.d * surf.e == report.degree_product
 
     def test_d_e_minus_one_count(self):
         rng = random.Random(4321)
@@ -152,30 +146,36 @@ class TestPairTransversality:
             pair_transversality_check(ExactPoly.zero(XY), Y)
 
 
+def smooth_verdict(text, seed=DEFAULT_SEED):
+    return genericity._curve_smooth_verdict(poly_parse(text, XY), seed)[0]
+
+
+def triple_verdict(p, q, r, seed=DEFAULT_SEED):
+    return genericity._triple_verdicts({"p": p, "q": q, "r": r}, seed)["p", "q", "r"][0]
+
+
 class TestCurveSmoothness:
     def test_smooth_conic(self):
-        assert curve_smooth_check(poly_parse("x^2 + y^2 - 1", XY))
+        assert smooth_verdict("x^2 + y^2 - 1") == PASS
 
     def test_cuspidal_cubic(self):
-        assert not curve_smooth_check(poly_parse("y^2 - x^3", XY))
+        assert smooth_verdict("y^2 - x^3") == FAIL
 
     def test_smooth_elliptic(self):
-        assert curve_smooth_check(poly_parse("y^2 - x^3 - x - 1", XY))
+        assert smooth_verdict("y^2 - x^3 - x - 1") == PASS
 
     def test_nodal_cubic(self):
-        assert not curve_smooth_check(poly_parse("y^2 - x^2*(x + 1)", XY))
+        assert smooth_verdict("y^2 - x^2*(x + 1)") == FAIL
 
     def test_repeated_component(self):
-        assert not curve_smooth_check(poly_parse("(x + y)^2", XY))
+        assert smooth_verdict("(x + y)^2") == FAIL
 
     def test_x_free_curve_is_decided_by_its_profile(self):
         # an x-free curve smooth at infinity is a line y = c: ps_x = 0 under
         # every shear, and the resultant with ps_y is a nonzero constant
         for line in (Y - ONE, Y - ExactPoly.const(XY, 3)):
             assert genericity._curve_smooth_verdict(line) == (PASS, None)
-            assert curve_smooth_check(line)
         # y^2 + y meets infinity only at [1:0:0], where it is singular
-        assert not curve_smooth_check(Y * Y + Y)
         assert genericity._curve_smooth_verdict(Y * Y + Y) == (
             FAIL, "singular direction at infinity of y^2")
 
@@ -211,41 +211,36 @@ class TestCurveSmoothness:
         verdict, witness = genericity._curve_smooth_verdict(curve)
         assert verdict == INCONCLUSIVE
         assert witness.startswith("unseparated singular-point candidates")
-        assert not curve_smooth_check(curve)
 
     def test_random_dense_curves_smooth(self):
         rng = random.Random(99)
-        smooth = 0
-        for _ in range(5):
-            surf = random_surface_pair(rng, 3, 3)
-            if curve_smooth_check(surf.r):
-                smooth += 1
-        assert smooth >= 4
+        verdicts = [genericity._curve_smooth_verdict(random_surface_pair(rng, 3, 3).r)[0]
+                    for _ in range(5)]
+        assert verdicts.count(PASS) >= 4
 
 
 class TestNoTriple:
     def test_lines_missing_origin(self):
-        assert no_triple_check(Y - X, Y + X, Y - ONE)
+        assert triple_verdict(Y - X, Y + X, Y - ONE) == PASS
 
     def test_lines_through_origin(self):
-        assert not no_triple_check(Y - X, Y + X, Y)
+        assert triple_verdict(Y - X, Y + X, Y) == FAIL
 
     def test_random_trios(self):
         rng = random.Random(31)
-        hits = 0
+        verdicts = []
         for _ in range(4):
             surf = random_surface_pair(rng, 3, 3)
             third = random_surface_pair(rng, 3, 3).r
-            if no_triple_check(surf.r, surf.s, third):
-                hits += 1
-        assert hits >= 3
+            verdicts.append(triple_verdict(surf.r, surf.s, third))
+        assert verdicts.count(PASS) >= 3
 
     def test_rational_triple_point_detected(self):
         # all three pass through (1, 2)
         p = poly_parse("y - 2*x", XY)
         q = poly_parse("y + x - 3", XY)
         r = poly_parse("y - x^2 - 1", XY)
-        assert not no_triple_check(p, q, r)
+        assert triple_verdict(p, q, r) == FAIL
 
     def test_triple_point_with_a_large_root(self):
         # all three pass through (N, 1); the witness needs a root with a
@@ -261,37 +256,34 @@ class TestDispositions:
     def test_line_y0_fails_on_circle(self):
         # R_y = 2y vanishes identically on y = 0
         surf = SurfacePair.parse("x^2 + y^2 - 1", "x^2 + y^2 + x*y + y - 2")
-        assert not line_y0_disposition_check(surf)
+        assert genericity._line_y0_verdict(surf)[0] == FAIL
 
     def test_line_y0_fails_on_shared_root(self):
         # R_y(x,0) = x + 1 shares the root x = -1 with R(x,0) = x^2 - 1
         surf = SurfacePair.parse("x^2 + y^2 + x*y + y - 1", "x^2 + 3*y^2 + x*y + x - 5")
-        assert not line_y0_disposition_check(surf)
+        assert genericity._line_y0_verdict(surf)[0] == FAIL
 
     def test_line_y0_random_pass(self):
         rng = random.Random(2024)
-        hits = 0
-        for _ in range(5):
-            surf = random_surface_pair(rng, 3, 4)
-            if line_y0_disposition_check(surf):
-                hits += 1
-        assert hits >= 4
+        verdicts = [genericity._line_y0_verdict(random_surface_pair(rng, 3, 4))[0]
+                    for _ in range(5)]
+        assert verdicts.count(PASS) >= 4
 
     def test_axis_ox(self):
-        assert not axis_ox_disposition_check(SurfacePair.parse("y - x", "y + x"))
-        assert axis_ox_disposition_check(SurfacePair.parse("y - x - 1", "y + x - 2"))
+        assert genericity._axis_ox_verdict(SurfacePair.parse("y - x", "y + x"))[0] == FAIL
+        assert genericity._axis_ox_verdict(
+            SurfacePair.parse("y - x - 1", "y + x - 2")) == (PASS, None)
 
     def test_infinity_disposition(self):
         good = SurfacePair.parse("x^2 + y^2 - 1", "x^2 + x*y + y^2 - 2")
-        assert infinity_disposition_check(good)
+        assert genericity._infinity_verdict(good) == (PASS, None)
         # identical leading forms meet at infinity
         bad = SurfacePair.parse("x^2 + x*y + y^2 - 1", "x^2 + x*y + y^2 - 2")
-        assert not infinity_disposition_check(bad)
+        assert genericity._infinity_verdict(bad)[0] == FAIL
 
     def test_infinity_fails_on_a_square_leading_form(self):
         # the leading form (x + y)^2 of R meets infinity twice at [1:-1]
         surf = SurfacePair.parse("x^2 + 2*x*y + y^2 + x", "x^3 + y^3 + 1")
-        assert not infinity_disposition_check(surf)
         assert genericity._infinity_verdict(surf) == (
             FAIL, "leading form of R not squarefree: x^2 + 2*x*y + y^2")
 
@@ -412,7 +404,6 @@ def _standalone_verdicts(surf, seed):
     verdicts = {}
     for label in ("R", "S"):
         verdict, witness = genericity._curve_smooth_verdict(curves[label], seed)
-        assert curve_smooth_check(curves[label], seed) == (verdict == PASS)
         verdicts[f"smooth_{label}"] = verdict, witness, None
     for (idx_a, a), (idx_b, b) in combinations(enumerate(SIX_CURVE_NAMES), 2):
         if curves[a].is_constant() or curves[b].is_constant():
@@ -426,7 +417,6 @@ def _standalone_verdicts(surf, seed):
             continue
         verdict, witness = genericity._triple_verdicts(dict(zip(triple, polys)),
                                                        seed + 997)[triple]
-        assert no_triple_check(*polys, seed=seed + 997) == (verdict == PASS)
         verdicts["triple_" + "_".join(triple)] = verdict, witness, None
     return verdicts
 

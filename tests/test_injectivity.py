@@ -107,7 +107,7 @@ class TestMatrixAssembly:
             assert sum(1 for v in image if v) == len(jet.terms)
 
     def test_columns_are_the_unknown_labels(self):
-        # the order in which vector_to_field reads a kernel witness back
+        # the order in which build_section reads a kernel vector back
         surf = random_surface_pair(random.Random(5), 4, 4)
         matrix = injectivity_matrix(surf, 2, 2)
         assert list(matrix.columns) == unknown_labels(JetSpec(m=2, c=0, a=2))

@@ -187,11 +187,14 @@ class TestExpandLambda:
         spec = JetSpec(m=2, c=1, a=1)
         f1 = random_coefficient_field(rng, 2, 1)
         f2 = random_coefficient_field(rng, 2, 1)
-        lhs = expand_lambda(f1 + f2, surf, spec)
-        rhs = expand_lambda(f1, surf, spec) + expand_lambda(f2, surf, spec)
-        assert lhs.entries == rhs.entries
-        scaled = expand_lambda(f1.scale(Fraction(-3, 2)), surf, spec)
-        assert scaled.entries == expand_lambda(f1, surf, spec).scale(Fraction(-3, 2)).entries
+        e1, e2 = expand_lambda(f1, surf, spec), expand_lambda(f2, surf, spec)
+        summed = CoefficientField(2, {t: p + f2.entries[t] for t, p in f1.entries.items()})
+        assert expand_lambda(summed, surf, spec).entries == {
+            ab: p + e2.entries[ab] for ab, p in e1.entries.items()}
+        value = Fraction(-3, 2)
+        scaled = CoefficientField(2, {t: p.scale(value) for t, p in f1.entries.items()})
+        assert expand_lambda(scaled, surf, spec).entries == {
+            ab: p.scale(value) for ab, p in e1.entries.items()}
 
     def test_triangular_slice_witness(self):
         # with A[.,k,.,.] = 0 for k <= k'-1 the beta = k' slice collapses to

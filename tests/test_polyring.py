@@ -504,7 +504,6 @@ class TestRepresentation:
         for exps in list(a) + [(0, 0)]:
             assert p.coefficient(exps) == a.get(exps, 0)
             assert type(p.coefficient(exps)) is Fraction
-        assert p.constant_value() == a.get((0, 0), 0)
         if a and any(a.values()):
             lead = max((e for e, c in a.items() if c), key=lambda e: (sum(e), e))
             assert p.leading_term() == (lead, a[lead])

@@ -11,6 +11,7 @@ from jetdiff.jetbuilder import (
     SurfacePair,
     build_jet,
     index_tuples,
+    monomials_upto,
     unit_field,
 )
 from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, poly_substitute
@@ -24,6 +25,7 @@ from jetdiff.surfacecharts import (
     CHARTS,
     SURFACE_VARS,
     _chart_polynomial,
+    _residual,
     full_chart_transfer,
     restrict_to_surface,
     verify_derivative_transfer,
@@ -178,8 +180,14 @@ class TestChartPolynomial:
 
 class TestInfinityExponents:
     def test_extreme_index_residual(self):
-        report = verify_infinity_exponents(JetSpec(m=3, c=20, a=2))
-        assert report.residuals_ok and report.residual_min == 0
+        # the closed form behind the report: over the whole grid every
+        # residual is >= 0, and the least, 0, is at (m,0,0,0,a,0)
+        spec = JetSpec(m=3, c=20, a=2)
+        residuals = {t + (h, i): _residual(spec, t, h, i)
+                     for t in index_tuples(spec.m) for h, i in monomials_upto(spec.a)}
+        assert min(residuals.values()) == 0 == residuals[spec.m, 0, 0, 0, spec.a, 0]
+        report = verify_infinity_exponents(spec)
+        assert report.passed and report.prefactor_exponent == 20 - 2 - 12
 
     def test_margin_zero(self):
         report = verify_infinity_exponents(JetSpec(m=1, c=5, a=1))
