@@ -6,17 +6,26 @@ R_y, S, S_x, S_y: pairwise transversal intersections with the full product
 count of simple affine points, no triple points, smoothness, and the
 dispositions along the line y = 0 and the line at infinity.
 
-The certificates are resultant-based.  A pair check passes when the
-eliminating resultant of a sheared copy of the pair has exact degree
+The certificates are resultant-based.  A pair check passes at once when
+the eliminating resultant of a sheared copy of the pair has exact degree
 deg(p)*deg(q) and is squarefree; shears x -> x + s*y with seeded rational s
 (numerator and denominator bounded by 97) separate accidental coincidences
-of x-coordinates.  Failures are declared only on an algebraic witness; a
-degeneracy that survives every attempted shear without a verified witness
-is reported as inconclusive, never silently passed.  The pass verdicts of
-the gcd-based checks may be proved by a gcd of degree 0 modulo a prime (see
-``polyring.gcd_univariate``); fail and inconclusive verdicts, and their
-witnesses, always come from the exact remainder sequence.  No rational
-root candidate is missed: ``polyring.rational_roots`` is complete.
+of x-coordinates.  Every other affine question is whether three curves
+share a point, and one route, ``_common_point_verdict``, answers it: for a
+curve and its two partials (smoothness), for each triple of the six curves,
+and for a pair and its Jacobian when the pair's resultant stays
+non-squarefree.
+
+Failures are declared only on an algebraic witness: a zero resultant or a
+degree deficiency of a pair, a disposition at infinity, on the axis or on
+y = 0, or a rational common point, which names the shear it was found
+under so that substitution rechecks it.  A candidate that no attempted
+shear decides is reported as inconclusive, never silently passed.  The
+pass verdicts of the gcd-based checks may be proved by a gcd of degree 0
+modulo a prime (see ``polyring.gcd_univariate``); fail and inconclusive
+verdicts, and their witnesses, always come from the exact remainder
+sequence.  No rational root candidate is missed:
+``polyring.rational_roots`` is complete.
 
 One audit keeps one ``_ShearTable``: each curve is sheared at most once per
 shear value and each pair's resultant formed at most once, and the
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .jetbuilder import XY, SurfacePair
 from .polyring import (
@@ -53,11 +62,13 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
+def _x_image(s: Fraction | int) -> ExactPoly:
+    return ExactPoly(XY, {(1, 0): Fraction(1), (0, 1): Fraction(s)})
+
+
 def shear(p: ExactPoly, s: Fraction | int) -> ExactPoly:
     """The coordinate change x -> x + s*y; total degree is preserved."""
-    s = Fraction(s)
-    x_image = ExactPoly(XY, {(1, 0): Fraction(1), (0, 1): s})
-    return poly_substitute(p, {"x": x_image})
+    return poly_substitute(p, {"x": _x_image(s)})
 
 
 def _shear_values(seed: int) -> Iterator[Fraction]:
@@ -76,9 +87,9 @@ def _shear_values(seed: int) -> Iterator[Fraction]:
             yield s
 
 
-def _keeps_top_y(polys: Iterable[ExactPoly]) -> bool:
-    """True iff every poly keeps its pure y^deg term: the shear is valid for them."""
-    return all(p.coefficient((0, p.total_degree())) != 0 for p in polys)
+def _keeps_top_y(p: ExactPoly) -> bool:
+    """True iff p keeps its pure y^deg term: the shear that gave p is valid for it."""
+    return p.coefficient((0, p.total_degree())) != 0
 
 
 class _ShearTable:
@@ -92,7 +103,7 @@ class _ShearTable:
     """
 
     def __init__(self, curves: dict[str, ExactPoly]):
-        self.curves = curves
+        self.curves = dict(curves)
         self._sheared: dict[tuple[str, Fraction], ExactPoly] = {}
         self._resultants: dict[tuple[str, str, Fraction], ExactPoly] = {}
 
@@ -108,18 +119,69 @@ class _ShearTable:
             self._resultants[key] = resultant(self.sheared(a, s), self.sheared(b, s), "y")
         return self._resultants[key]
 
-    def keeps_top_y(self, names: Iterable[str], s: Fraction) -> bool:
-        """True iff the shear s is valid for every named curve."""
-        return _keeps_top_y(self.sheared(name, s) for name in names)
-
     def valid_shears(self, names: tuple[str, ...], seed: int) -> Iterator[Fraction]:
         """Each seeded shear under which every named curve stays valid."""
-        return (s for s in _shear_values(seed) if self.keeps_top_y(names, s))
+        return (s for s in _shear_values(seed)
+                if all(_keeps_top_y(self.sheared(name, s)) for name in names))
 
 
 def _gcd_fold(polys: list[ExactPoly]) -> ExactPoly:
     """The gcd of the nonzero polys, of which there must be at least one."""
     return reduce(gcd_univariate, [p for p in polys if not p.is_zero()])
+
+
+# -- common points ------------------------------------------------------------
+
+def _under(s: Fraction) -> str:
+    """The witness suffix that names a non-identity shear."""
+    return f" under x -> {_x_image(s)}" if s else ""
+
+
+def _common_point_verdict(table: _ShearTable, names: tuple[str, str, str], seed: int,
+                          label: str) -> tuple[str, str | None, Fraction | None]:
+    """Verdict, witness and deciding shear of: do the curves a, b, c share an affine point?
+
+    The one route of every such question of the audit; each rule is a proof.
+
+    * Only a must be valid: the walk takes ``valid_shears((a,), seed)``.
+      Once a keeps its pure y^deg term, res_y(a, b) vanishes at the x of
+      every common point of a and b, so b and c need no validity check.
+    * A nonzero constant curve meets nothing: PASS, at no shear.  A zero
+      curve adds no condition, and a zero resultant (a shares a component
+      with that curve, under every shear) bounds nothing: both are left
+      out.  With nothing left the route declines: INCONCLUSIVE.
+    * g is the gcd of the resultants left of res(a, b) and res(a, c), in
+      that order.  Every common point lies over a root of g, so a constant
+      g proves there is none: PASS.  A rational root x0 of g over which the
+      three sheared curves share a y-root is a common point: FAIL, with x0
+      and the shear.  Otherwise the next shear is tried; after the last,
+      INCONCLUSIVE with the last g, monic, as the unseparated candidates.
+    """
+    if any(table.curves[name].is_constant() and not table.curves[name].is_zero()
+           for name in names):
+        return PASS, None, None
+    a = names[0]
+    others = [name for name in names[1:] if not table.curves[name].is_zero()]
+    g = None
+    for s in table.valid_shears((a,), seed):
+        resultants = [table.resultant(a, name, s) for name in others]
+        if all(res.is_zero() for res in resultants):
+            return INCONCLUSIVE, "resultants identically zero (shared components)", s
+        g = _gcd_fold(resultants)
+        if g.is_constant():
+            return PASS, None, s
+        for x0 in rational_roots(g):
+            at_x0 = {"x": ExactPoly.const(XY, x0)}
+            # a keeps its y^deg term, so its fibre over x0 is nonzero
+            fibres = [poly_substitute(table.sheared(name, s), at_x0) for name in (a, *others)]
+            if not _gcd_fold(fibres).is_constant():
+                return FAIL, f"{label}: common point over x = {x0}{_under(s)}", s
+    if g is None:
+        return INCONCLUSIVE, "degenerate leading forms under all shears", None
+    # g and s are the last shear's; the label reads as a compound
+    # modifier: "triple-point candidates"
+    return (INCONCLUSIVE, f"unseparated {label.replace(' ', '-')} candidates "
+            f"{g.scale(1 / g.leading_term()[1])}{_under(s)}", s)
 
 
 @dataclass(frozen=True)
@@ -142,10 +204,11 @@ class CheckResult:
 class IntersectionReport:
     """Outcome of a pairwise transversality check.
 
-    passed requires the eliminating resultant to realise the full degree
-    product (all intersection points affine), to be squarefree (all points
-    simple with separated x-coordinates), under a shear with nondegenerate
-    leading forms.
+    passed is verdict == PASS: p = 0 and q = 0 meet in deg(p)*deg(q) simple
+    affine points.  squarefree says whether that was proved by a resultant
+    of full degree that is squarefree; otherwise (False) by the common
+    point route on p, q and their Jacobian.  shear_used is the shear at
+    which the verdict was decided, None if none was.
     """
 
     degree_product: int
@@ -158,14 +221,20 @@ class IntersectionReport:
 
     @property
     def passed(self) -> bool:
-        return (self.resultant_degree == self.degree_product
-                and self.squarefree and self.all_affine)
+        return self.verdict == PASS
 
 
 def pair_transversality_check(p: ExactPoly, q: ExactPoly, seed: int = DEFAULT_SEED, *,
                               shared: tuple[_ShearTable, str, str] | None = None
                               ) -> IntersectionReport:
     """Certify that p = 0 and q = 0 meet in exactly deg(p)*deg(q) simple affine points.
+
+    Each valid shear of the pair is tried in turn: a zero resultant (a
+    common component) or one of degree below deg(p)*deg(q) (points at
+    infinity) fails, and a squarefree one of full degree passes.  If none
+    is squarefree, every intersection point is affine, and it is simple iff
+    the Jacobian p_x q_y - p_y q_x does not vanish there: the common point
+    route decides p, q and the Jacobian.
 
     `shared` is an audit's shear table with the names it holds p and q
     under, p first; without it the check shears in a table of its own.
@@ -176,9 +245,8 @@ def pair_transversality_check(p: ExactPoly, q: ExactPoly, seed: int = DEFAULT_SE
     product = p.total_degree() * q.total_degree()
     report = partial(IntersectionReport, degree_product=product, resultant_degree=product,
                      squarefree=False, all_affine=True)
-    last_witness = None
-    last_shear = None
     table, a, b = shared or (_ShearTable({"p": p, "q": q}), "p", "q")
+    s = None
     for s in table.valid_shears((a, b), seed):
         res = table.resultant(a, b, s)
         if res.is_zero():
@@ -191,18 +259,17 @@ def pair_transversality_check(p: ExactPoly, q: ExactPoly, seed: int = DEFAULT_SE
             return report(resultant_degree=rdeg, all_affine=False, shear_used=s, verdict=FAIL,
                           witness=f"resultant degree {rdeg} < {product} (points at infinity)")
         # res has degree product >= 1 in x, so it is squarefree iff this gcd is constant
-        g = gcd_univariate(res, poly_diff(res, "x"))
-        if g.is_constant():
+        if gcd_univariate(res, poly_diff(res, "x")).is_constant():
             return report(resultant_degree=rdeg, squarefree=True, shear_used=s, verdict=PASS)
-        last_witness = str(g)
-        last_shear = s
-    if last_witness is not None:
-        # non-squarefree under every shear with good leading forms: a genuine
-        # tangency or multiple point.
-        return report(shear_used=last_shear, verdict=FAIL,
-                      witness=f"repeated resultant factor {last_witness} under all shears")
-    return report(shear_used=None, verdict=INCONCLUSIVE,
-                  witness="degenerate leading forms under all shears")
+    if s is None:
+        return report(shear_used=None, verdict=INCONCLUSIVE,
+                      witness="degenerate leading forms under all shears")
+    jacobian = f"jacobian_{a}_{b}"
+    table.curves[jacobian] = (poly_diff(p, "x") * poly_diff(q, "y")
+                              - poly_diff(p, "y") * poly_diff(q, "x"))
+    verdict, witness, s = _common_point_verdict(table, (a, b, jacobian), seed,
+                                                "multiple intersection")
+    return report(shear_used=s, verdict=verdict, witness=witness)
 
 
 # -- smoothness --------------------------------------------------------------
@@ -252,22 +319,6 @@ def _smooth_at_infinity(p: ExactPoly) -> tuple[str, str | None]:
     return PASS, None
 
 
-def _verify_affine_point_candidates(g: ExactPoly, system: list[ExactPoly]) -> str | None:
-    """Check rational roots of g for genuine common solutions of the system.
-
-    Returns a witness for the first root that is one, else None; system
-    entries are bivariate, specialised at each candidate x-value.  The first
-    entry keeps its pure y^deg term (`_keeps_top_y`), so its specialisation
-    is never zero.
-    """
-    for x0 in rational_roots(g):
-        x0_poly = ExactPoly.const(XY, x0)
-        specialised = [poly_substitute(p, {"x": x0_poly}) for p in system]
-        if not _gcd_fold(specialised).is_constant():
-            return f"common point over x = {x0}"
-    return None
-
-
 def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED, *,
                           shared: tuple[_ShearTable, str] | None = None
                           ) -> tuple[str, str | None]:
@@ -282,35 +333,25 @@ def _curve_smooth_verdict(p: ExactPoly, seed: int = DEFAULT_SEED, *,
     if infinity_verdict == FAIL:
         return FAIL, infinity_witness
 
-    # Every shear ps is now smooth at infinity (a shear fixes that line):
-    # * u != 0: else ps and py share an irreducible g with g_y != 0; with
-    #   ps = g^k r, g not dividing r, g | py = k g^(k-1) g_y r + g^k r_y
-    #   forces k >= 2, and the points at infinity of g = 0 are singular;
-    # * px = 0 only on a line y = c: an x-free curve of degree n >= 2 has
-    #   leading form c*y^n and is singular at [1:0:0].  u is then constant.
+    # The affine singular points of a shear ps are the common zeros of ps,
+    # shear(p_y) and shear(p_x): by the chain rule ps_x = shear(p_x) and
+    # ps_y = shear(p_y) + s*shear(p_x).  The route forms u = res(ps,
+    # shear(p_y)) and v = res(ps, shear(p_x)); as p is now smooth at
+    # infinity (a shear fixes that line):
+    # * u = 0 only if p has a component free of y: a component g with
+    #   p = g^k r, g not dividing r, divides p_y = k g^(k-1) g_y r + g^k r_y
+    #   only if k >= 2 (then the points at infinity of g = 0 are singular)
+    #   or g_y = 0.  Likewise v = 0 only for a component free of x.
+    # * An audited curve keeps its x^d and y^d terms, so neither happens.
+    #   A curve with both, such as x*y, is singular where the two lines
+    #   cross; the route reads it inconclusive.
+    # * p_x = 0 or p_y = 0 only on a line y = c or x = c (a curve free of x
+    #   or of y of degree >= 2 is singular at infinity), whose other partial
+    #   is a nonzero constant: a pass.
     table, name = shared or (_ShearTable({"p": p, "px": poly_diff(p, "x"),
                                           "py": poly_diff(p, "y")}), "p")
-    x_name, y_name = name + "x", name + "y"
-    last_witness = None
-    for s in table.valid_shears((name,), seed):
-        ps = table.sheared(name, s)
-        # by the chain rule the x-partial of ps is shear(p_x) at every s, but
-        # its y-partial shear(p_y) + s*shear(p_x) is shear(p_y) only at s = 0
-        px = table.sheared(x_name, s)
-        if s == 0:
-            py, u = table.sheared(y_name, s), table.resultant(name, y_name, s)
-        else:
-            py = poly_diff(ps, "y")
-            u = resultant(ps, py, "y")
-        v = table.resultant(name, x_name, s) if px else px
-        g = u if v.is_zero() else gcd_univariate(u, v)
-        if g.is_constant():
-            return PASS, None
-        witness = _verify_affine_point_candidates(g, [ps, px, py])
-        if witness is not None:
-            return FAIL, f"singular point: {witness}"
-        last_witness = str(g)
-    return INCONCLUSIVE, f"unseparated singular-point candidates {last_witness}"
+    return _common_point_verdict(table, (name, name + "y", name + "x"), seed,
+                                 "singular point")[:2]
 
 
 # -- triple points ------------------------------------------------------------
@@ -320,38 +361,15 @@ def _triple_verdicts(curves: dict[str, ExactPoly], seed: int, *,
                      ) -> dict[tuple[str, ...], tuple[str, str | None]]:
     """Verdict and witness of every triple of the named non-constant curves.
 
-    One walk of the shear sequence serves all triples, and every sheared
-    curve and pair resultant (a, b), a before b, comes from one shear
-    table: `shared`, an audit's table holding the curves under the same
-    names, or else a table of their own.  A shear is tried on a triple only
-    if it is valid for its three curves, so each triple sees the shears it
-    would see alone.
+    Each triple (a, b, c), in the order of `curves`, is one call of the
+    common point route, which walks the shears valid for a.  Every sheared
+    curve and pair resultant comes from one shear table: `shared`, an
+    audit's table holding the curves under the same names, or else a table
+    of their own.
     """
     table = _ShearTable(curves) if shared is None else shared
-    undecided = dict.fromkeys(combinations(curves, 3))   # triple -> last witness
-    verdicts: dict[tuple[str, ...], tuple[str, str | None]] = {}
-    for s in _shear_values(seed):
-        for triple in list(undecided):
-            if not table.keeps_top_y(triple, s):
-                continue
-            a, b, c = triple
-            res_ab, res_ac = table.resultant(a, b, s), table.resultant(a, c, s)
-            if res_ab.is_zero() or res_ac.is_zero():
-                verdicts[triple] = FAIL, "two of the three curves share a component"
-            elif (g := gcd_univariate(res_ab, res_ac)).is_constant():
-                verdicts[triple] = PASS, None
-            elif (witness := _verify_affine_point_candidates(
-                    g, [table.sheared(name, s) for name in triple])) is not None:
-                verdicts[triple] = FAIL, f"triple point: {witness}"
-            else:
-                undecided[triple] = str(g)
-                continue
-            del undecided[triple]
-        if not undecided:
-            break
-    for triple, last_witness in undecided.items():
-        verdicts[triple] = INCONCLUSIVE, f"unseparated triple-point candidates {last_witness}"
-    return verdicts
+    return {triple: _common_point_verdict(table, triple, seed, "triple point")[:2]
+            for triple in combinations(curves, 3)}
 
 
 # -- line and infinity dispositions -------------------------------------------

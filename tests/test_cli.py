@@ -498,7 +498,7 @@ GOLDEN = [
       "--require-infinity"], 4,
      "94d07dac6b569fdc8a390831b3486cb6a5c2a91c26666874838fa7c17e7f9c51"),
     (["solve", "--surface", "{surface}", "--m", "1", "--c", "5", "--a", "1"], 1,
-     "288c7efaeced9cb341cd6b379be24a2f50e77081c8575094d5746bae141b28b3"),
+     "ed224c817f695f51f1aa8ef85e7cd0b40c1175c7b1ef4f4330c18652537fe9ad"),
     (["verify", "--injectivity", "--d", "3", "--m", "1", "--surfaces", "2",
       "--seed", "7"], 0,
      "05b16c4f7cf0b128ff062fe7d1d404d06bf5818b6d1cdd886118e609ef96e4d9"),

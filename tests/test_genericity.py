@@ -2,13 +2,14 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_cli
 from jetdiff import genericity, polyring
 from jetdiff.genericity import (
     DEFAULT_SEED,
@@ -21,7 +22,7 @@ from jetdiff.genericity import (
     shear,
 )
 from jetdiff.jetbuilder import XY, SurfacePair, monomials_upto
-from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, resultant
+from jetdiff.polyring import ExactPoly, poly_diff, poly_parse, poly_substitute, resultant
 from jetdiff.sampling import random_surface_pair
 
 X = ExactPoly.variable(XY, "x")
@@ -127,6 +128,22 @@ class TestPairTransversality:
         assert report.resultant_degree == 3 * 2
         assert report.squarefree
 
+    def test_tangency_is_failed_at_its_point(self):
+        # the conics of the tangency fixture touch at (+-1, 0)
+        report = pair_transversality_check(poly_parse("x^2 + y^2 - 1", XY),
+                                           poly_parse("x^2 + 4*y^2 - 1", XY))
+        assert (report.verdict, report.witness) == (
+            FAIL, "multiple intersection: common point over x = 1")
+        assert not report.squarefree and report.shear_used == 0
+
+    def test_irrational_tangency_is_inconclusive(self):
+        # the conics touch at (+-sqrt(2), 0): no rational point to show
+        report = pair_transversality_check(poly_parse("x^2 + y^2 - 2", XY),
+                                           poly_parse("x^2 + 2*y^2 - 2", XY))
+        assert report.verdict == INCONCLUSIVE and not report.passed
+        assert report.witness.startswith("unseparated multiple-intersection candidates "
+                                         "x^2 - 2 under x -> ")
+
     def test_degenerate_leading_forms_under_all_shears_are_inconclusive(self):
         # the leading forms vanish at [-s:1] for the eight shears s of seed
         # 127, p at the first four and q at the last four, so no shear keeps
@@ -210,7 +227,9 @@ class TestCurveSmoothness:
         assert resultant(curve, poly_diff(curve, "x"), "y").is_zero()
         verdict, witness = genericity._curve_smooth_verdict(curve)
         assert verdict == INCONCLUSIVE
-        assert witness.startswith("unseparated singular-point candidates")
+        # the candidates print monic, with the shear they were found under
+        assert witness.startswith("unseparated singular-point candidates x^6 + ")
+        assert witness.endswith(" under x -> x + 14/95*y")
 
     def test_random_dense_curves_smooth(self):
         rng = random.Random(99)
@@ -242,14 +261,33 @@ class TestNoTriple:
         r = poly_parse("y - x^2 - 1", XY)
         assert triple_verdict(p, q, r) == FAIL
 
+    def test_parallel_lines_share_no_point(self):
+        # y and 2*y share a component, but y - 1 meets neither
+        assert triple_verdict(Y, Y + Y, Y - ONE) == PASS
+
+    def test_witness_names_its_shear(self):
+        # 2x is invalid at the identity shear: the point (0, 0) is found at
+        # the first valid shear, 3/2, which the witness names
+        assert genericity._triple_verdicts({"p": X + X, "q": Y, "r": X + Y}, DEFAULT_SEED)[
+            "p", "q", "r"] == (FAIL, "triple point: common point over x = 0 under x -> x + 3/2*y")
+
+    def test_no_valid_shear_is_inconclusive(self):
+        # the leading form of p vanishes at [s:1] for each of the eight shears
+        # s of seed 127, so no shear keeps its y^8 term
+        factors = "*".join(f"({s.denominator}*x - ({s.numerator})*y)"
+                           for s in genericity._shear_values(127))
+        curves = {"p": poly_parse(factors + " + 1", XY), "q": Y, "r": X}
+        assert genericity._triple_verdicts(curves, 127)["p", "q", "r"] == (
+            INCONCLUSIVE, "degenerate leading forms under all shears")
+
     def test_triple_point_with_a_large_root(self):
-        # all three pass through (N, 1); the witness needs a root with a
-        # 14-digit numerator
+        # all three pass through (N, 1); the witness needs a root with 14
+        # digits, found at the identity shear, which only p must keep valid
         n = 10**13 + 37
         curves = {"p": poly_parse(f"x + y - {n + 1}", XY), "q": poly_parse(f"x - y - {n - 1}", XY),
                   "r": poly_parse(f"y - 1 + (x - {n})^2", XY)}
         assert genericity._triple_verdicts(curves, DEFAULT_SEED)["p", "q", "r"] == (
-            FAIL, "triple point: common point over x = 20000000000071/2")
+            FAIL, f"triple point: common point over x = {n}")
 
 
 class TestDispositions:
@@ -324,18 +362,20 @@ class TestFailingAuditReports:
     """
 
     CASES = {
-        # node at the origin: singular point, repeated factors, triple point
+        # node at the origin: singular point, multiple intersections and a
+        # triple point there
         "singular_curve": ("x^3 + y^3 - x*y", "x^3 - 2*y^3 + x*y + 3*x - y + 5",
-                           "d6e86176988b249447aea44a875076d018b2206175d236e0e35028b46a431c63"),
-        # R = S: identically zero resultants; unseparated triple candidates
+                           "622af1f2f4425e89ce50402194cd879d8c965bffa422ae2e09a9fe0408f0c0a3"),
+        # R = S: identically zero resultants; the triple points lie over
+        # irrational x, so their candidates stay unseparated
         "equal_pair": ("x^3 + 2*y^3 - x*y + 3*x - 1", "x^3 + 2*y^3 - x*y + 3*x - 1",
-                       "bcf5a762e54d8f5293c2df70d07cb6b90ee645dcf08b11d55d597650145ec59b"),
+                       "e69c94710e4a26d4b17b3d7d7040e510b3d8e8052325670ad5ae02f0086d1175"),
         # leading forms share the direction x = y: resultant degree 3 < 4
         "points_at_infinity": ("x^2 - y^2 + y - 2", "x^2 + x*y - 2*y^2 + 3*x + 1",
                                "3193ac5a846186573a62e55bf14888a75eacc97cef84d424cabca48d0e578505"),
-        # the conics touch at (+-1, 0): repeated resultant factor x^2 - 1
+        # the conics touch at (+-1, 0): a multiple intersection over x = 1
         "tangency": ("x^2 + y^2 - 1", "x^2 + 4*y^2 - 1",
-                     "45255a73cad83b41a1ba32b09c710ccb7e49c56af9c9c28089d63dcb0544ca22"),
+                     "46ead60a6d7189d1f4fb5870e425b041b43689b123312665cbcd38dbb9b1f95e"),
         # d = 1: R_x and R_y are constants, so 9 pairs and 16 triples are
         # "constant curve"; S_y vanishes at the root x = -1 of S(x, 0)
         "line_and_conic": ("x + 2*y - 1", "x^2 + x*y + 3*y^2 - x + y - 2",
@@ -483,10 +523,16 @@ class TestSharedShearTable:
         table = genericity._ShearTable(curves)
         assert (genericity._triple_verdicts(curves, 127, shared=table)
                 == genericity._triple_verdicts(curves, 127))
+        reports = {}
         for a, b in combinations(curves, 2):
             shared = pair_transversality_check(curves[a], curves[b], 127, shared=(table, a, b))
             assert shared == pair_transversality_check(curves[a], curves[b], 127)
             assert (shared.shear_used != 0) == (a == "p")
+            reports[a, b] = shared
+        # no shear makes the grid pair's resultant squarefree, so its 56
+        # simple points are proved by the Jacobian route
+        grid = reports["p", "q"]
+        assert grid.verdict == PASS and grid.passed and not grid.squarefree
 
     def test_table_forms_each_shear_and_resultant_once(self, monkeypatch):
         shears = _count_calls(monkeypatch, genericity, "shear")
@@ -497,6 +543,86 @@ class TestSharedShearTable:
             assert table.resultant("p", "q", Fraction(2)) == resultant(p2, q2, "y")
             assert table.sheared("p", Fraction(2)) == p2
         assert len(shears) == 2 and len(resultants) == 1
+
+
+# the FAIL witnesses that are not points: a pair's zero resultant or degree
+# deficiency, and the dispositions at infinity, on the axis and on y = 0
+NON_POINT_FAIL_WITNESSES = (
+    "resultant identically zero (common factor)", "resultant degree ",
+    "singular direction at infinity of ", "leading form of ", "leading forms share ",
+    "common curve point on the axis: ", "R(x,0) has a multiple root",
+    "S(x,0) has a multiple root", "Rx vanishes on a root of ", "Ry vanishes on a root of ",
+    "Sx vanishes on a root of ", "Sy vanishes on a root of ")
+
+
+def _point_check_curves(curves, name):
+    """The three curves whose common point a FAIL of the named check shows."""
+    kind, *labels = name.split("_")
+    if kind == "smooth":
+        return [curves[labels[0] + suffix] for suffix in ("", "y", "x")]
+    if kind == "pair":
+        p, q = (curves[label] for label in labels)
+        jacobian = poly_diff(p, "x") * poly_diff(q, "y") - poly_diff(p, "y") * poly_diff(q, "x")
+        return [p, q, jacobian]
+    return [curves[label] for label in labels]
+
+
+def _assert_point_witness(polys, witness):
+    """The witness "...: common point over x = x0[ under x -> x + s*y]" holds:
+    the sheared curves, specialised at x0, share a y-root."""
+    point, _, image = witness.partition(": common point over x = ")[2].partition(" under x -> ")
+    s = Fraction(0)
+    if image:
+        x_image = poly_parse(image, XY)
+        s = x_image.coefficient((0, 1))
+        assert s != 0 and x_image == X + Y * ExactPoly.const(XY, s)
+    at_x0 = {"x": ExactPoly.const(XY, Fraction(point))}
+    fibres = [f for f in (poly_substitute(shear(p, s), at_x0) for p in polys) if not f.is_zero()]
+    assert fibres and not reduce(polyring.gcd_univariate, fibres).is_constant(), witness
+
+
+def _assert_fail_witnesses(surf, seed=DEFAULT_SEED):
+    """Every FAIL of the audit shows a checked point or a non-point witness;
+    returns the number of point witnesses."""
+    curves = genericity._six_curves(surf)
+    points = 0
+    for check in full_genericity_audit(surf, seed).checks:
+        if check.verdict != FAIL:
+            continue
+        assert "under all shears" not in check.witness, check
+        assert "share a component" not in check.witness, check
+        if ": common point over x = " in check.witness:
+            _assert_point_witness(_point_check_curves(curves, check.name), check.witness)
+            points += 1
+        else:
+            assert check.witness.startswith(NON_POINT_FAIL_WITNESSES), check
+    return points
+
+
+class TestFailWitnesses:
+    """No FAIL without a witness: a point that substitution rechecks, or an
+    algebraic degeneracy of a pair or of a special line."""
+
+    def test_failing_audits_and_the_gated_solve(self):
+        texts = [(r, s) for r, s, _ in TestFailingAuditReports.CASES.values()]
+        r_line, s_line = test_cli.GOLDEN_SURFACE.splitlines()
+        texts.append((r_line.removeprefix("R = "), s_line.removeprefix("S = ")))
+        points = sum(_assert_fail_witnesses(SurfacePair.parse(r, s)) for r, s in texts)
+        assert points >= 15
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sparse_surfaces(), st.integers(1, 300))
+    def test_sparse_surfaces(self, surf, seed):
+        _assert_fail_witnesses(surf, seed)
+
+    def test_witness_check_refuses_a_wrong_point(self):
+        # all three pass through (1, 2), which x -> x + y moves over x = -1
+        polys = [poly_parse(text, XY) for text in ("y - 2*x", "y + x - 3", "y - x^2 - 1")]
+        _assert_point_witness(polys, "triple point: common point over x = 1")
+        _assert_point_witness(polys, "triple point: common point over x = -1 under x -> x + y")
+        for wrong in ("x = 2", "x = 1 under x -> x + y"):
+            with pytest.raises(AssertionError):
+                _assert_point_witness(polys, "triple point: common point over " + wrong)
 
 
 def _dense_polynomial_text(rng, degree):

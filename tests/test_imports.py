@@ -86,8 +86,6 @@ UNCALLED = {
                                                   "report's field back",
     "jetbuilder.LambdaExpansion.reconstruct": "acceptance 03: the expansion route's J",
     "linalg.SparseMatrix.matvec": "acceptance 05: kernel vectors checked on the system",
-    "polyring.ExactPoly.leading_term": "the graded-lex order's query, read by the "
-                                       "division oracle of tests/test_polyring.py",
 }
 
 
