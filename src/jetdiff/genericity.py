@@ -20,12 +20,11 @@ Failures are declared only on an algebraic witness: a zero resultant or a
 degree deficiency of a pair, a disposition at infinity, on the axis or on
 y = 0, or a rational common point, which names the shear it was found
 under so that substitution rechecks it.  A candidate that no attempted
-shear decides is reported as inconclusive, never silently passed.  The
-pass verdicts of the gcd-based checks may be proved by a gcd of degree 0
-modulo a prime (see ``polyring.gcd_univariate``); fail and inconclusive
-verdicts, and their witnesses, always come from the exact remainder
-sequence.  No rational root candidate is missed:
-``polyring.rational_roots`` is complete.
+shear decides is reported as inconclusive, never silently passed.  Every
+gcd is exact: ``polyring.gcd_univariate`` joins modular images by CRT and
+proves its result by exact division, or by an image of degree 0 when the
+gcd is 1, so no verdict depends on an unlucky prime.  No rational root
+candidate is missed: ``polyring.rational_roots`` is complete.
 
 One audit keeps one ``_ShearTable``: each curve is sheared at most once per
 shear value and each pair's resultant formed at most once, and the
@@ -258,8 +257,7 @@ def pair_transversality_check(p: ExactPoly, q: ExactPoly, seed: int = DEFAULT_SE
             # invariant under shears with nondegenerate leading forms.
             return report(resultant_degree=rdeg, all_affine=False, shear_used=s, verdict=FAIL,
                           witness=f"resultant degree {rdeg} < {product} (points at infinity)")
-        # res has degree product >= 1 in x, so it is squarefree iff this gcd is constant
-        if gcd_univariate(res, poly_diff(res, "x")).is_constant():
+        if squarefree_univariate(res):
             return report(resultant_degree=rdeg, squarefree=True, shear_used=s, verdict=PASS)
     if s is None:
         return report(shear_used=None, verdict=INCONCLUSIVE,

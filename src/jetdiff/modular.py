@@ -1,9 +1,12 @@
 """The modular core: primes below 2^30, Chinese remaindering, rational reconstruction.
 
 `PRIMES` lists the largest primes below 2^30 in descending order, so every
-residue is a one-digit CPython int.  Its first entry, 1073741789, is the
-prime of the univariate gcd test in `polyring`; `linalg` eliminates modulo
-the primes in turn.  Both read the list at call time.
+residue is a one-digit CPython int; `linalg` eliminates modulo them in turn.
+`primes()` yields `PRIMES` and then every further prime below the literal's
+last entry, in descending order, for the univariate gcd of `polyring`, which
+takes images until one is proved.  Both read `PRIMES` at call time.
+`is_prime` is deterministic Miller-Rabin to the bases 2, 7 and 61, exact
+below 4,759,123,141 (Jaeschke, Math. Comp. 1993).
 
 `crt` joins the images of a list of integers modulo two coprime moduli.
 `rational_reconstruction` is Wang's half-extended Euclid (Wang, SYMSAC 1981):
@@ -17,6 +20,7 @@ are both at most B is found whenever the residue is its image.
 from __future__ import annotations
 
 from math import gcd
+from typing import Iterator
 
 
 # the 64 largest primes below 2^30, in descending order (tests/test_modular.py
@@ -36,6 +40,43 @@ PRIMES = (
     1073740543, 1073740541, 1073740537, 1073740529, 1073740523, 1073740517,
     1073740501, 1073740489, 1073740477, 1073740463,
 )
+_LITERAL_LAST = PRIMES[-1]
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to the bases 2, 7 and 61; exact
+    for n < 4,759,123,141, ValueError above."""
+    if n >= 4759123141:
+        raise ValueError(f"{n} is beyond the range of the deterministic test")
+    if n < 2:
+        return False
+    for base in (2, 7, 61):
+        if n % base == 0:
+            return n == base
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 7, 61):
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes() -> Iterator[int]:
+    """`PRIMES`, then every prime below the literal's last entry, descending.
+
+    About 5*10^7 primes lie below 2^30, far more than any gcd in this
+    package can take.
+    """
+    yield from PRIMES
+    yield from filter(is_prime, range(_LITERAL_LAST - 2, 1, -2))
 
 
 def crt(residues: list[int], modulus: int, images: list[int], prime: int) -> list[int]:

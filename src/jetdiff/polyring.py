@@ -30,12 +30,10 @@ kernel for a product truncated below degree k in one variable, whose radix
 is then capped at k: the larger operand is sorted by its exponent there,
 and each term of the smaller one is paired only with the prefix that keeps
 the degree sum below k, so no dropped pair is formed.
-The univariate gcd first runs Euclid modulo the prime
-P = ``modular.PRIMES[0]`` when P divides neither leading coefficient, and
-returns 1 when the gcd there has degree 0: a common factor over Q would
-keep its degree mod P (the proof is in ``gcd_univariate``).  Every other
-case runs a primitive remainder sequence on the integer numerators, so a
-gcd of degree >= 1 always comes from the exact route.  The resultant runs
+The univariate gcd is Brown's modular gcd: Euclid modulo the primes of
+``modular.primes()``, the images of least degree joined by CRT, and the
+candidate proved by exact division of both inputs; an image of degree 0
+proves the gcd is 1 (the proof is in ``gcd_univariate``).  The resultant runs
 the subresultant remainder sequence over Z[t] on the integer numerators
 and divides by the scaling factor once at the end.  Its independent check,
 the Sylvester determinant by fraction-free elimination with exact
@@ -63,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
@@ -980,13 +978,15 @@ def resultant(p: ExactPoly, q: ExactPoly, name: str) -> ExactPoly:
 # -- univariate gcd and squarefree test --------------------------------------
 
 def _primitive(coeffs: list[int]) -> list[int]:
-    """Integer coefficient list divided by its (positive) content."""
-    content = gcd(*coeffs)
+    """Nonzero integer coefficient list divided by its content, signed so
+    that its lead is positive."""
+    content = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
     return [c // content for c in coeffs]
 
 
 def _primitive_coeffs(p: ExactPoly, name: str | None) -> list[int]:
-    """Primitive integer coefficient list (index = degree) of a univariate p; [] for zero."""
+    """Primitive integer coefficient list (index = degree, positive lead) of a
+    univariate p; [] for zero."""
     if p.is_zero():
         return []
     i = None if name is None else p.vars.index(name)
@@ -999,31 +999,12 @@ def _primitive_coeffs(p: ExactPoly, name: str | None) -> list[int]:
     return _primitive(coeffs)
 
 
-def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a pseudo-remainder of a by b (integer lists, b nonzero)."""
-    r = list(a)
-    db = len(b) - 1
-    lc_b = b[-1]
-    while r and len(r) - 1 >= db:
-        # r := (lc_b / g) * r - (lc_r / g) * x^shift * b kills the leading term
-        g = gcd(r[-1], lc_b)
-        scale_r, scale_b = lc_b // g, r[-1] // g
-        shift = len(r) - 1 - db
-        r = [c * scale_r for c in r]
-        for k, c in enumerate(b):
-            r[k + shift] -= scale_b * c
-        while r and r[-1] == 0:
-            r.pop()
-    return _primitive(r) if r else r
+def _gcd_mod_p(a: list[int], b: list[int], prime: int) -> list[int]:
+    """The monic gcd of a mod prime and b mod prime, by Euclid over F_prime.
 
-
-def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a mod P, b mod P) for P = modular.PRIMES[0], by Euclid over F_P.
-
-    a and b are integer coefficient lists whose leading coefficients P does
-    not divide.  Each step makes the divisor monic.
+    a and b are integer coefficient lists whose leading coefficients the
+    prime does not divide.  Each step makes the divisor monic.
     """
-    prime = modular.PRIMES[0]
     a = [c % prime for c in a]
     b = [c % prime for c in b]
     while b:
@@ -1039,43 +1020,63 @@ def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
         while a and not a[-1]:
             a.pop()
         a, b = b, a
-    return len(a) - 1
+    return a
 
 
 def gcd_univariate(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     """Monic gcd of two effectively-univariate polynomials (not both zero).
 
-    A coprime pair is first tried modulo the prime P = modular.PRIMES[0],
-    and the test is one-sided: it may only prove that the gcd is 1.  Let a, b be the
-    primitive integer coefficient lists, both nonzero, with P dividing
-    neither leading coefficient.  Suppose the gcd over Q has degree >= 1.
-    By Gauss's lemma its primitive form g lies in Z[x] and divides a and b
-    there, so lc(g) divides lc(a) and P does not divide lc(g).  Then g mod P
-    keeps its degree >= 1 and divides both images mod P.  Contrapositively,
-    a gcd of degree 0 mod P proves the gcd over Q is 1.
-
-    Every other case, and every gcd of degree >= 1, runs the primitive
-    remainder sequence over the integers; the gcd over Q is the last nonzero
-    remainder made monic.
+    Brown's modular gcd (J. ACM 1971) on the primitive integer coefficient
+    lists a, b.  By Gauss's lemma their gcd over Q has a primitive form g in
+    Z[x] dividing both.  For a prime p dividing neither lc(a) nor lc(b), g
+    mod p keeps its degree and divides both images, so the monic gcd mod p
+    has degree >= deg g; an image of degree 0 proves the gcd is 1.  Otherwise
+    the images of the least degree seen, each scaled by gamma = gcd(lc a,
+    lc b), which lc(g) divides, are joined by CRT, and the primitive part of
+    the symmetric residues is a candidate h.  An h that divides a and b
+    exactly is a common divisor of degree >= deg g, so it is g: the division
+    is the proof, and stopping at the first h that passes it is sound.  Only
+    the primes dividing the resultant of a/g and b/g are unlucky, and once
+    the modulus exceeds twice the coefficients of gamma/lc(g) * g, h is g, so
+    ``modular.primes()`` never runs out first.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     p._check_same_vars(q)
     name = _effective_variable(p, q)
     a = _primitive_gcd(_primitive_coeffs(p, name), _primitive_coeffs(q, name))
-    # a is primitive, so a / a[-1] is canonical once a[-1] is positive
+    # a is primitive with a positive lead, so a / a[-1] is canonical
     return _from_dense(p.vars, None if name is None else p.vars.index(name), a, a[-1])
 
 
 def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """The gcd of primitive integer lists a, b (not both []), primitive with a
-    positive lead: 1 when proved mod P, else by the PRS (see gcd_univariate)."""
-    prime = modular.PRIMES[0]
-    if a and b and a[-1] % prime and b[-1] % prime and _gcd_degree_mod_p(a, b) == 0:
-        return [1]
-    while b:
-        a, b = b, _primitive_prem(a, b)
-    return [-c for c in a] if a[-1] < 0 else a
+    """The gcd of primitive integer lists a, b with positive leads (not both
+    []), primitive with a positive lead, by the modular route of gcd_univariate."""
+    if not a or not b:
+        return a or b
+    gamma = gcd(a[-1], b[-1])
+    residues: list[int] = []
+    for prime in modular.primes():
+        if a[-1] % prime == 0 or b[-1] % prime == 0:
+            continue
+        image = [c * gamma % prime for c in _gcd_mod_p(a, b, prime)]
+        if len(image) == 1:
+            return [1]
+        if not residues or len(image) < len(residues):
+            # the first image, or one of lower degree: the earlier primes were unlucky
+            residues, modulus = image, prime
+        elif len(image) == len(residues):
+            residues = modular.crt(residues, modulus, image, prime)
+            modulus *= prime
+        else:
+            continue
+        h = _primitive([c - modulus if 2 * c > modulus else c for c in residues])
+        try:
+            _zdiv_exact(a, h)
+            _zdiv_exact(b, h)
+        except ValueError:
+            continue
+        return h
 
 
 def squarefree_univariate(p: ExactPoly) -> bool:
@@ -1122,7 +1123,7 @@ def rational_roots(p: ExactPoly) -> list[Fraction]:
     dg = [k * c for k, c in enumerate(g)][1:]
     # the first prime p > n, not dividing lead, at which no root of g mod p is one of g'
     prime = n + 1
-    while (lead % prime == 0 or any(prime % q == 0 for q in range(2, isqrt(prime) + 1))
+    while (lead % prime == 0 or not modular.is_prime(prime)
            or any(_horner(g, r) % prime == _horner(dg, r) % prime == 0 for r in range(prime))):
         prime += 1
     for y in [r for r in range(prime) if _horner(g, r) % prime == 0]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_cli
-from jetdiff import genericity, polyring
+from jetdiff import genericity, modular, polyring
 from jetdiff.genericity import (
     DEFAULT_SEED,
     FAIL,
@@ -635,29 +635,48 @@ def _dense_polynomial_text(rng, degree):
     return " + ".join(terms).replace("+ -", "- ")
 
 
-def _count_calls(monkeypatch, module, name, result=None):
-    """Count the calls of module.name; return result instead of running it, if given."""
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name."""
     calls = []
     original = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
-        return original(*args) if result is None else result
+        return original(*args)
 
     monkeypatch.setattr(module, name, spy)
     return calls
 
 
-class TestModularGcdRoute:
-    """Pass verdicts of the gcd-based checks are proved mod p; the rest stay exact."""
+def _spy_gcd_primes(monkeypatch, unlucky_first=False):
+    """The prime of every modular gcd image; with unlucky_first, each image at
+    modular.PRIMES[0] is multiplied by x + 1, one degree too high, as an
+    unlucky prime would make it."""
+    primes = []
+    image_mod_p = polyring._gcd_mod_p
 
-    def test_passing_dense_audit_never_runs_the_prs(self, monkeypatch):
+    def spy(a, b, prime):
+        primes.append(prime)
+        image = image_mod_p(a, b, prime)
+        if unlucky_first and prime == modular.PRIMES[0]:
+            image = [(low + high) % prime for low, high in zip([0] + image, image + [0])]
+        return image
+
+    monkeypatch.setattr(polyring, "_gcd_mod_p", spy)
+    return primes
+
+
+class TestModularGcdRoute:
+    """Pass verdicts of the gcd-based checks end at the first prime, and no
+    verdict depends on which primes are unlucky: every gcd is proved by
+    exact division."""
+
+    def test_passing_dense_audit_proves_gcds_at_the_first_prime(self, monkeypatch):
         rng = random.Random(7)
         surf = SurfacePair.parse(_dense_polynomial_text(rng, 8), _dense_polynomial_text(rng, 8))
-        modular = _count_calls(monkeypatch, polyring, "_gcd_degree_mod_p")
-        exact = _count_calls(monkeypatch, polyring, "_primitive_prem")
+        primes = _spy_gcd_primes(monkeypatch)
         assert full_genericity_audit(surf).verdict == PASS
-        assert len(modular) >= 1 and len(exact) == 0
+        assert len(primes) >= 1 and set(primes) == {modular.PRIMES[0]}
 
     FAILING = {
         "tangency": lambda: full_genericity_audit(
@@ -677,7 +696,7 @@ class TestModularGcdRoute:
     def test_failing_reports_come_from_the_exact_route(self, monkeypatch, case):
         report = self.FAILING[case]()
         assert (report["verdict"] if isinstance(report, dict) else report[0]) == FAIL
-        # a modular gcd of degree >= 1 sends every gcd to the exact PRS
-        forced = _count_calls(monkeypatch, polyring, "_gcd_degree_mod_p", result=1)
+        # an unlucky first prime makes every gcd take a second image
+        primes = _spy_gcd_primes(monkeypatch, unlucky_first=True)
         assert self.FAILING[case]() == report
-        assert len(forced) > 0
+        assert modular.PRIMES[1] in primes

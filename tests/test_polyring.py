@@ -848,61 +848,82 @@ class TestUnivariate:
         assert rational_roots(poly_parse(text, XY)) == roots
 
 
-P = modular.PRIMES[0]
+P, P1, P2 = modular.PRIMES[:3]
 
 
-def spy_gcd_routes(monkeypatch):
-    """Record the degree of every modular gcd and every exact PRS step.
+def spy_gcd_images(monkeypatch):
+    """Record (prime, degree) of every modular image gcd_univariate takes;
+    past 100 images, fail instead of looping on."""
+    images = []
+    image_mod_p = polyring._gcd_mod_p
 
-    Both routes still run; the lists fill as gcd_univariate takes them.
-    """
-    modular, exact = [], []
-    modular_gcd, exact_step = polyring._gcd_degree_mod_p, polyring._primitive_prem
+    def spy(a, b, prime):
+        assert len(images) < 100, "no proof after 100 images"
+        image = image_mod_p(a, b, prime)
+        images.append((prime, len(image) - 1))
+        return image
 
-    def modular_spy(a, b):
-        modular.append(modular_gcd(a, b))
-        return modular[-1]
-
-    def exact_spy(a, b):
-        exact.append((a, b))
-        return exact_step(a, b)
-
-    monkeypatch.setattr(polyring, "_gcd_degree_mod_p", modular_spy)
-    monkeypatch.setattr(polyring, "_primitive_prem", exact_spy)
-    return modular, exact
+    monkeypatch.setattr(polyring, "_gcd_mod_p", spy)
+    return images
 
 
-# (p, q, degrees of the modular gcds): each pair must reach the exact PRS
+# (p, q, the (prime, degree) of each image): unlucky primes are skipped or
+# outvoted by a later image of lower degree
 UNLUCKY_PRIME = [
-    pytest.param(f"{P}*x + 1", "x", [], id="lead-divisible-by-p"),
-    pytest.param("x", f"x - {P}", [1], id="coprime-over-q-not-mod-p"),
-    pytest.param("(x - 1)*(x + 2)", "(x - 1)*(3*x - 5)", [1], id="true-common-factor"),
+    pytest.param(f"{P}*x + 1", "x", [(P1, 0)], id="lead-divisible-by-p"),
+    pytest.param("x", f"x - {P}", [(P, 1), (P1, 0)], id="coprime-over-q-not-mod-p"),
+    pytest.param("(x - 1)*(x + 2)", "(x - 1)*(3*x - 5)", [(P, 1)], id="true-common-factor"),
+    pytest.param("(x - 1)*x", f"(x - 1)*(x - {P})", [(P, 2), (P1, 1)],
+                 id="unlucky-image-of-higher-degree"),
+    # x + 10^12 needs two primes, and P1 between them is unlucky
+    pytest.param(f"(x + {10**12})*x", f"(x + {10**12})*(x - {P1})", [(P, 1), (P1, 2), (P2, 1)],
+                 id="unlucky-second-prime"),
 ]
+
+# 3^1400 + 7 and 2^2100 + 1 need more CRT primes than the 64 of the literal
+HUGE_FACTOR = f"{3**1400 + 7}*x + {2**2100 + 1}"
 
 
 class TestModularGcd:
-    @pytest.mark.parametrize("p_text,q_text,modular_degrees", UNLUCKY_PRIME)
-    def test_unlucky_prime_falls_back_to_exact(self, monkeypatch, p_text, q_text,
-                                               modular_degrees):
+    @pytest.mark.parametrize("p_text,q_text,images", UNLUCKY_PRIME)
+    def test_unlucky_prime_falls_back_to_exact(self, monkeypatch, p_text, q_text, images):
         p, q = poly_parse(p_text, XY), poly_parse(q_text, XY)
         expected = reference_gcd(p, q, "x")
-        modular, exact = spy_gcd_routes(monkeypatch)
+        taken = spy_gcd_images(monkeypatch)
         assert gcd_univariate(p, q) == expected
-        assert modular == modular_degrees and len(exact) > 0
+        assert taken == images
 
     def test_squarefree_over_q_not_mod_p(self, monkeypatch):
         # x*(x - P) = x^2 mod P, so gcd(p, p') = x there
         p = poly_parse(f"x*(x - {P})", XY)
-        modular, exact = spy_gcd_routes(monkeypatch)
+        taken = spy_gcd_images(monkeypatch)
         assert squarefree_univariate(p)
-        assert modular == [1] and len(exact) > 0
+        assert taken == [(P, 1), (P1, 0)]
 
     def test_coprime_mod_p_proves_gcd_one(self, monkeypatch):
         p, q = poly_parse("3*x^4 - x + 7", XY), poly_parse("-2*x^3 + 5*x^2 + 1", XY)
         expected = reference_gcd(p, q, "x")
-        modular, exact = spy_gcd_routes(monkeypatch)
+        taken = spy_gcd_images(monkeypatch)
         assert gcd_univariate(p, q) == expected == ONE
-        assert modular == [0] and exact == []
+        assert taken == [(P, 0)]
+
+    def test_wrong_first_candidate_is_refused_by_the_division(self, monkeypatch):
+        # x + 10^12 reads x + (10^12 mod P) at P alone, which divides neither input
+        shared = poly_parse(f"x + {10**12}", XY)
+        p, q = shared * poly_parse("x - 1", XY), shared * poly_parse("x + 2", XY)
+        taken = spy_gcd_images(monkeypatch)
+        assert gcd_univariate(p, q) == shared
+        assert taken == [(P, 1), (P1, 1)]
+
+    def test_shared_factor_beyond_the_literal_primes(self, monkeypatch):
+        shared = poly_parse(HUGE_FACTOR, XY)
+        p = shared * poly_parse("x^2 + 1", XY)
+        q = shared * poly_parse("2*x - 3", XY)
+        taken = spy_gcd_images(monkeypatch)
+        assert gcd_univariate(p, q) == reference_gcd(p, q, "x")
+        primes = [prime for prime, _ in taken]
+        assert primes[:64] == list(modular.PRIMES) and len(primes) > 64
+        assert {degree for _, degree in taken} == {1}
 
 
 class TestDegreeSentinel:

@@ -1,17 +1,20 @@
-"""The golden reports, rerun with tiny primes in every modular fast path.
+"""The golden reports, rerun with tiny primes in every modular route.
 
-Each fast path is one-sided: an unlucky prime may only send a computation
-to its exact route, never change a result.  With `modular.PRIMES` patched
-to 7, 11 and 13 (the gcd runs modulo 7, the kernels modulo all three, joined
-by CRT), many modular proofs fail, so the golden CLI reports and the
-failing-audit reports must keep their digests through the exact routes.
-Call counters show that those routes are reached.
+No modular route depends on a lucky prime: an unlucky prime may only cost
+the gcd further images or send a kernel to its exact route, never change a
+result.  With `modular.PRIMES` patched to 7, 11 and 13 (the gcd takes its
+images modulo these and then modulo the primes of `modular.primes()` below
+the literal's last entry; the kernels run modulo the three, joined by CRT),
+many images are unlucky or too small for their coefficients, so the golden
+CLI reports and the failing-audit reports must keep their digests.  Spies
+show that the gcd reaches past the three primes and that the kernels reach
+Bareiss elimination.
 
-Tests that assert which route runs, not what it returns, stay outside this
-harness: `TestModularGcd` and its `UNLUCKY_PRIME` table in test_polyring.py,
-the `UNLUCKY_PRIME` table and the kernel-entry and planted-kernel tests in
-test_linalg.py, and the d = 8 audit spy
-`TestModularGcdRoute::test_passing_dense_audit_never_runs_the_prs`.
+Tests that assert which primes or route a computation takes, not what it
+returns, stay outside this harness: `TestModularGcd` and its
+`UNLUCKY_PRIME` table in test_polyring.py, the `UNLUCKY_PRIME` table and the
+kernel-entry and planted-kernel tests in test_linalg.py, and the d = 8 audit
+spy `TestModularGcdRoute::test_passing_dense_audit_proves_gcds_at_the_first_prime`.
 """
 
 import hashlib
@@ -32,8 +35,9 @@ GOLDEN = test_cli.GOLDEN
 INJECTIVITY_GOLDEN = next(entry for entry in GOLDEN if "--injectivity" in entry[0])
 FAILING_AUDITS = test_genericity.TestFailingAuditReports.CASES
 
-# the primes of every tiny-prime run: the gcd runs modulo 7, and a kernel
-# entry beyond isqrt(1001 // 2) = 22 sends its kernel to Bareiss elimination
+# the primes of every tiny-prime run: a gcd coefficient beyond 1001 // 2
+# sends the gcd past them, and a kernel entry beyond isqrt(1001 // 2) = 22
+# sends its kernel to Bareiss elimination
 TINY_PRIMES = (7, 11, 13)
 
 # integer coefficients near 100 give kernel entries up to 194, so this
@@ -47,14 +51,22 @@ def _patch_primes(monkeypatch):
     monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
 
 
-def _count_exact_routes(monkeypatch) -> Counter:
-    """Count the calls of the exact PRS step and of Bareiss elimination."""
+def _count_routes(monkeypatch) -> Counter:
+    """Count the gcd images taken modulo each prime and the calls of Bareiss
+    elimination ("row_echelon")."""
     calls = Counter()
-    for module, name in ((polyring, "_primitive_prem"), (linalg, "row_echelon")):
-        def spy(*args, _original=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(module, name, spy)
+    image_mod_p, row_echelon = polyring._gcd_mod_p, linalg.row_echelon
+
+    def gcd_spy(a, b, prime):
+        calls[prime] += 1
+        return image_mod_p(a, b, prime)
+
+    def echelon_spy(*args):
+        calls["row_echelon"] += 1
+        return row_echelon(*args)
+
+    monkeypatch.setattr(polyring, "_gcd_mod_p", gcd_spy)
+    monkeypatch.setattr(linalg, "row_echelon", echelon_spy)
     return calls
 
 
@@ -95,12 +107,15 @@ def test_injectivity_report_on_each_route(capsys, monkeypatch, tmp_path, route):
 def test_failing_audit_report(monkeypatch, case):
     r_text, s_text, digest = FAILING_AUDITS[case]
     _patch_primes(monkeypatch)
-    calls = _count_exact_routes(monkeypatch)
+    calls = _count_routes(monkeypatch)
     report = full_genericity_audit(SurfacePair.parse(r_text, s_text))
     assert report.verdict == FAIL
     body = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == digest
-    assert calls["_primitive_prem"] > 0
+    assert calls[TINY_PRIMES[0]] > 0
+    # equal_pair alone has gcds whose coefficients 7 * 11 * 13 cannot hold:
+    # the stream goes on past the patched primes for them
+    assert (set(calls) > set(TINY_PRIMES)) == (case == "equal_pair")
 
 
 def test_kernel_report_falls_back_to_bareiss(capsys, monkeypatch, tmp_path):
@@ -109,7 +124,7 @@ def test_kernel_report_falls_back_to_bareiss(capsys, monkeypatch, tmp_path):
     surface.write_text(KERNEL_SURFACE)
     expected = _run_cli(capsys, KERNEL_SOLVE, surface)
     _patch_primes(monkeypatch)
-    calls = _count_exact_routes(monkeypatch)
+    calls = _count_routes(monkeypatch)
     assert _run_cli(capsys, KERNEL_SOLVE, surface) == expected
     assert expected[0] == 0 and json.loads(expected[1])["dimension"] > 0
     assert calls["row_echelon"] > 0
